@@ -1,25 +1,25 @@
-"""Speedup benchmark for the precision-specialized kernel tier.
+"""Speedup benchmark for the precision-specialized kernels.
 
-Measures the tiered smallfloat kernels (fixed-width-int significands,
-inlined rounding; tier-1 <= 64 bits, tier-2 <= 128 bits) against the
-generic specialized kernels on the *actual operand streams* a jit gemm
-run feeds them: the streams are recorded from one instrumented run per
-precision, then replayed through both kernel families under the timer.
-The batched section times the single-limb numpy tier against the
-generic fused-loop batch kernels on broadcast operand batches.
+Measures the jit engine's scalar kernels (width-parametric, inlined
+rounding, one family at every precision) against the
+:mod:`repro.bigfloat.arith` library they replace, on the *actual operand
+streams* a jit gemm run feeds them: the streams are recorded from one
+instrumented run per precision, then replayed through both under the
+timer.  The batched section times the single-limb numpy tier against
+the generic fused-loop batch kernels on broadcast operand batches.
 
 Verifies bit-identity while it measures -- three digest assertions per
 configuration:
 
-* the gemm run's value + output array under ``kernel_tier="small"``
-  must equal the ``kernel_tier="generic"`` run exactly;
-* both runs' CostReport snapshots must be identical (the tier is a
+* the gemm run's value + output array on the jit engine must equal the
+  ``legacy`` engine's run (which calls the arith library) exactly;
+* both runs' CostReport snapshots must be identical (the kernels are a
   strength reduction, not a cost-model change);
-* every replayed op and every batched lane must produce bit-identical
-  results across tiers.
+* every replayed op must match the library, and every batched lane the
+  generic batch kernel, bit for bit.
 
-Asserts the per-op speedup floors (>= 2x at 24--64-bit, >= 1.5x at
-128-bit, >= 2x on the single-limb batch path; all scaled by
+Asserts the per-op speedup floors (>= 2x at 24--53-bit, >= 1.5x from
+128 bits up, >= 2x on the single-limb batch path; all scaled by
 ``$VPFLOAT_BENCH_FLOOR_SCALE``) and emits a JSON document next to the
 other bench artifacts.
 
@@ -43,8 +43,8 @@ from repro.bigfloat.rounding import RNDN
 from repro.codegen import batch_np_kernels as npk
 from repro.codegen import pyjit
 from repro.codegen.batch_kernels import batch_kernel_factory
-from repro.codegen.kernels import specialized_kernel
-from repro.codegen.smallfloat import smallfloat_kernel
+from repro.codegen.kernels import _LIBRARY, clamped_fallback, \
+    specialized_kernel
 from repro.evaluation.harness import run_kernel
 from repro.observability import bench_floor_scale, \
     reproducibility_envelope
@@ -52,10 +52,10 @@ from repro.runtime.batch import BatchContext, VPBatch
 from repro.validation.certificate import report_snapshot, value_token, \
     values_digest
 
-BENCH_FORMAT_VERSION = 2  # v2: carries the reproducibility envelope
+BENCH_FORMAT_VERSION = 3  # v3: the scalar baseline is the arith library
 KERNEL = "gemm"
-PRECISIONS = (24, 53, 64, 128)
-SCALAR_FLOORS = {24: 2.0, 53: 2.0, 64: 2.0, 128: 1.5}
+PRECISIONS = (24, 53, 128, 512, 1024)
+SCALAR_FLOORS = {24: 2.0, 53: 2.0, 128: 1.5, 512: 1.5, 1024: 1.5}
 BATCH_FLOOR = 2.0
 BATCH_PREC = 53
 BATCH_LANES_FULL = 1000
@@ -67,10 +67,10 @@ BATCH_LANES_QUICK = 256
 # ----------------------------------------------------------------- #
 
 def record_streams(prec: int, n: int):
-    """Run gemm once under the tiered kernels with every scalar kernel
-    call recorded; -> {(op, exp_bits): [args, ...]}."""
+    """Run gemm once on the jit engine with every scalar kernel call
+    recorded; -> {(op, exp_bits): [args, ...]}."""
     streams: dict = {}
-    original = pyjit.select_scalar_kernel
+    original = pyjit.bind_scalar_kernel
 
     def recording(op, kp, exp_bits, *extra, **kwargs):
         kernel = original(op, kp, exp_bits, *extra, **kwargs)
@@ -84,13 +84,12 @@ def record_streams(prec: int, n: int):
 
         return recorded
 
-    pyjit.select_scalar_kernel = recording
+    pyjit.bind_scalar_kernel = recording
     try:
         run_kernel(KERNEL, f"vpfloat<mpfr, 16, {prec}>", n,
-                   backend="mpfr", engine="jit", kernel_tier="small",
-                   read_outputs=False)
+                   backend="mpfr", engine="jit", read_outputs=False)
     finally:
-        pyjit.select_scalar_kernel = original
+        pyjit.bind_scalar_kernel = original
     return streams
 
 
@@ -104,55 +103,69 @@ def replay_seconds(kernel, stream, reps: int) -> float:
     return best
 
 
+def library_op(op: str, prec: int, exp_bits):
+    """``arith.<op>`` at ``(prec, RNDN)`` followed by the destination
+    clamp: what the kernel for ``(op, prec, exp_bits)`` stands in for."""
+    library = _LIBRARY[op]
+
+    def reference(*args):
+        return library(*args, prec, RNDN)
+
+    if exp_bits is None:
+        return reference
+    return clamped_fallback(reference, prec, exp_bits)
+
+
 def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
-    """Digest-check gemm across tiers, then replay its recorded operand
-    streams through both kernel families; -> the JSON row."""
+    """Digest-check gemm on the jit engine against the legacy engine,
+    then replay its recorded operand streams through the kernels and
+    the library; -> the JSON row."""
     ftype = f"vpfloat<mpfr, 16, {prec}>"
     outcomes = {
-        tier: run_kernel(KERNEL, ftype, n, backend="mpfr",
-                         engine="jit", kernel_tier=tier)
-        for tier in ("small", "generic")
+        engine: run_kernel(KERNEL, ftype, n, backend="mpfr",
+                           engine=engine)
+        for engine in ("jit", "legacy")
     }
-    digests = {tier: values_digest([o.value] + list(o.outputs))
-               for tier, o in outcomes.items()}
-    if digests["small"] != digests["generic"]:
-        failures.append(f"gemm@{prec}: tiered outputs diverge from the "
-                        f"generic kernels ({digests['small']} != "
-                        f"{digests['generic']})")
-    reports = {tier: report_snapshot(o.report)
-               for tier, o in outcomes.items()}
-    if reports["small"] != reports["generic"]:
-        failures.append(f"gemm@{prec}: tiered CostReport differs from "
-                        f"the generic kernels")
+    digests = {engine: values_digest([o.value] + list(o.outputs))
+               for engine, o in outcomes.items()}
+    if digests["jit"] != digests["legacy"]:
+        failures.append(f"gemm@{prec}: jit outputs diverge from the "
+                        f"legacy engine ({digests['jit']} != "
+                        f"{digests['legacy']})")
+    reports = {engine: report_snapshot(o.report)
+               for engine, o in outcomes.items()}
+    if reports["jit"] != reports["legacy"]:
+        failures.append(f"gemm@{prec}: jit CostReport differs from "
+                        f"the legacy engine")
 
     streams = record_streams(prec, n)
     ops = {}
-    tiered_total = generic_total = 0.0
+    kernel_total = arith_total = 0.0
     for (op, exp_bits), stream in sorted(streams.items()):
-        tiered = smallfloat_kernel(op, prec, RNDN, exp_bits)
-        generic = specialized_kernel(op, prec, RNDN, exp_bits)
+        kernel = specialized_kernel(op, prec, RNDN, exp_bits)
+        reference = library_op(op, prec, exp_bits)
         mismatches = sum(
-            value_token(tiered(*args)) != value_token(generic(*args))
+            value_token(kernel(*args)) != value_token(reference(*args))
             for args in stream)
         if mismatches:
             failures.append(f"gemm@{prec} {op}: {mismatches} replayed "
-                            f"op(s) diverge between tiers")
-        t_tiered = replay_seconds(tiered, stream, reps)
-        t_generic = replay_seconds(generic, stream, reps)
-        tiered_total += t_tiered
-        generic_total += t_generic
+                            f"op(s) diverge from the library")
+        t_kernel = replay_seconds(kernel, stream, reps)
+        t_arith = replay_seconds(reference, stream, reps)
+        kernel_total += t_kernel
+        arith_total += t_arith
         ops[op] = {"count": len(stream),
-                   "tiered_seconds": t_tiered,
-                   "generic_seconds": t_generic,
-                   "speedup": t_generic / t_tiered if t_tiered
+                   "kernel_seconds": t_kernel,
+                   "arith_seconds": t_arith,
+                   "speedup": t_arith / t_kernel if t_kernel
                    else float("inf")}
-    speedup = generic_total / tiered_total if tiered_total \
+    speedup = arith_total / kernel_total if kernel_total \
         else float("inf")
     floor = SCALAR_FLOORS[prec] * bench_floor_scale()
     total = sum(row["count"] for row in ops.values())
-    print(f"gemm@{prec:>3}: {total:>6} recorded op(s)  "
+    print(f"gemm@{prec:>4}: {total:>6} recorded op(s)  "
           f"per-op speedup {speedup:5.2f}x  (floor {floor:.2f}x)  "
-          f"digest {digests['small']}")
+          f"digest {digests['jit']}")
     for op, row in sorted(ops.items()):
         print(f"    {op:<4} x{row['count']:<6} "
               f"{row['speedup']:5.2f}x")
@@ -160,9 +173,9 @@ def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
         failures.append(f"gemm@{prec}: per-op speedup {speedup:.2f}x "
                         f"below the {floor:.2f}x floor")
     return {"prec": prec, "n": n, "ops": ops,
-            "speedup_vs_generic": speedup, "floor": floor,
-            "digest": digests["small"],
-            "cycles": reports["small"]["cycles"]}
+            "speedup_vs_arith": speedup, "floor": floor,
+            "digest": digests["jit"],
+            "cycles": reports["jit"]["cycles"]}
 
 
 # ----------------------------------------------------------------- #
@@ -184,7 +197,7 @@ def bench_batch(lanes: int, reps: int, failures) -> dict:
     broadcast operand batches; -> the JSON row."""
     prec = BATCH_PREC
     rng = random.Random(20260809)
-    ctx = BatchContext(lanes=lanes, kernel_tier="small")
+    ctx = BatchContext(lanes=lanes)
     rows = {}
     np_total = generic_total = 0.0
     for op in ("add", "mul"):
@@ -259,8 +272,8 @@ def main(argv=None) -> int:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
-        print("OK: tiered outputs and CostReports bit-identical to the "
-              "generic kernels, speedup floors met")
+        print("OK: kernel outputs and CostReports bit-identical to the "
+              "arith library, speedup floors met")
     return 1 if failures else 0
 
 

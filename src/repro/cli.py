@@ -81,22 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "'unfused' disables superinstruction "
                              "fusion, 'legacy' is the reference tree "
                              "walker)")
-    parser.add_argument("--dispatch", dest="engine",
-                        choices=("jit", "fast", "unfused", "legacy"),
-                        default=None, help=argparse.SUPPRESS)
     parser.add_argument("--no-pool", action="store_true",
                         help="disable the runtime MPFR object pool")
-    parser.add_argument("--kernel-tier",
-                        choices=("auto", "generic", "small"),
-                        default="auto",
-                        help="kernel-tier policy for the jit engine's "
-                             "precision-specialized fast-path kernels "
-                             "(<=64-bit and <=128-bit significands): "
-                             "'auto' tiers by precision, 'generic' "
-                             "forces the generic kernels, 'small' also "
-                             "waives the batched numpy tier's lane-"
-                             "count floor; results are bit-identical "
-                             "across policies")
     parser.add_argument("--batch", type=int, default=None, metavar="N",
                         help="execute --run as one batched SPMD run of "
                              "N independent lanes (mpfr backend, jit "
@@ -223,7 +209,6 @@ def _run(args) -> int:
         specialize_scalars=not args.no_specialize,
         in_place_stores=not args.no_in_place,
         engine=args.engine,
-        kernel_tier=args.kernel_tier,
         cache=CompileCache(args.cache_dir or default_cache_dir())
         if args.compile_cache else None,
     )
@@ -325,19 +310,6 @@ def _validate_batch(args, run_args, program, result) -> int:
     candidates = [(f"batch{result.lanes}.lane{i}", strictness,
                    [result.values[i]], result.reports[i])
                   for i in range(result.lanes)]
-    if result.mode == "batched":
-        # The generic↔specialized transition, batched: the same batch
-        # with the fast-path kernel tier forced off must match every
-        # lane (and the shared report) bit-for-bit.
-        tier_strictness = TRANSITIONS["generic↔specialized"]
-        generic = program.run_batch(args.run, run_args,
-                                    lanes=result.lanes,
-                                    pool=False if args.no_pool else None,
-                                    kernel_tier="generic")
-        candidates.extend(
-            (f"tier.generic.lane{i}", tier_strictness,
-             [generic.values[i]], generic.reports[i])
-            for i in range(generic.lanes))
     certificate = certificate_for_outcomes(
         subject=args.source,
         reference_label="engine.jit.serial",
@@ -356,8 +328,7 @@ def _validate(args, source: str, run_args, driver) -> int:
         print("error: --validate requires an interpreter backend "
               "(none/mpfr/boost)", file=sys.stderr)
         return 1
-    from .validation import validate_engines, validate_passes, \
-        validate_tiers
+    from .validation import validate_engines, validate_passes
 
     options = dict(
         polly=args.polly,
@@ -377,10 +348,6 @@ def _validate(args, source: str, run_args, driver) -> int:
                         backend=args.backend, engine=args.engine,
                         name=args.source, cache=driver.cache,
                         strict=False, **options),
-        validate_tiers(source, args.run, run_args,
-                       backend=args.backend, engine=args.engine,
-                       name=args.source, cache=driver.cache,
-                       strict=False, **options),
     ]
     for certificate in certificates:
         print(certificate.render())

@@ -514,20 +514,18 @@ def batch_kernel_source(op: str, prec: int,
 
 def select_batch_kernel(op: str, prec: int, rm: RoundingMode,
                         exp_bits: Optional[int], ctx) -> Callable:
-    """The batched kernel honoring the run's kernel-tier policy.
+    """The batched kernel for one call-site key.
 
-    With policy "auto"/"small" (the BatchContext's ``kernel_tier``),
-    single-limb precisions get the vectorized numpy tier
+    Single-limb precisions get the vectorized numpy tier
     (:mod:`repro.codegen.batch_np_kernels`) wrapping this generic
-    kernel as its per-call fallback; "generic" -- and any shape the
-    numpy tier does not cover -- binds the generic fused-loop kernel
-    directly.  Results are bit-identical per lane either way.
+    kernel as its per-call fallback; any shape the numpy tier does not
+    cover binds the generic fused-loop kernel directly.  Results are
+    bit-identical per lane either way.
     """
     generic = batch_kernel_factory(op, prec, rm, exp_bits)(ctx)
-    if getattr(ctx, "kernel_tier", "auto") != "generic":
-        from .batch_np_kernels import make_np_kernel, np_tier_eligible
-        if np_tier_eligible(op, prec, rm):
-            return make_np_kernel(op, prec, exp_bits, ctx, generic)
+    from .batch_np_kernels import make_np_kernel, np_tier_eligible
+    if np_tier_eligible(op, prec, rm):
+        return make_np_kernel(op, prec, exp_bits, ctx, generic)
     return generic
 
 

@@ -76,7 +76,7 @@ from ..ir import (
 from ..observability.tracer import CAT_COMPILE
 from . import CODEGEN_VERSION
 from .batch_kernels import select_batch_kernel
-from .smallfloat import select_scalar_kernel
+from .kernels import bind_scalar_kernel
 
 #: vpfloat binary opcodes with an inlinable specialized kernel.
 _VP_OPS = {"fadd": "add", "fsub": "sub", "fmul": "mul", "fdiv": "div"}
@@ -133,9 +133,8 @@ class _KernelMap(dict):
     ``mpfr_init2``), so inlined mpfr call sites key their kernel by the
     destination handle's precision and exponent-range clamp at
     execution time; the dict hit is a single C-level lookup and misses
-    specialize on first use.  Misses pick the kernel tier (tiered
-    smallfloat vs generic) from the interpreter's policy and, when the
-    run is observing, bind per-tier counting wrappers.
+    specialize on first use.  When the run is observing, misses bind
+    counting wrappers.
     """
 
     def __init__(self, op: str, interp=None):
@@ -145,11 +144,9 @@ class _KernelMap(dict):
 
     def __missing__(self, key):
         prec, exp_bits = key
-        interp = self.interp
-        kernel = select_scalar_kernel(
+        kernel = bind_scalar_kernel(
             self.op, prec, exp_bits,
-            getattr(interp, "kernel_tier", "auto"),
-            getattr(interp, "tier_stats", None))
+            getattr(self.interp, "kernel_stats", None))
         self[key] = kernel
         return kernel
 
@@ -238,10 +235,9 @@ class JitRuntime:
         return handler
 
     def kernel(self, opcode: str, prec: int, exp_bits=None):
-        return select_scalar_kernel(
+        return bind_scalar_kernel(
             _VP_OPS[opcode], prec, exp_bits,
-            getattr(self.interp, "kernel_tier", "auto"),
-            getattr(self.interp, "tier_stats", None))
+            getattr(self.interp, "kernel_stats", None))
 
     def mpfr_kernels(self, op: str) -> _KernelMap:
         return _KernelMap(op, self.interp)
@@ -797,7 +793,7 @@ class FunctionEmitter:
         self._vp_telemetry(op, prec, 0)
         if vptype.format == "mpfr":
             # The destination format's exponent-range clamp is folded
-            # into the kernel (all tiers); no per-op clamp block.
+            # into the kernel; no per-op clamp block.
             kernel = self._kernel_ref(op, prec, vptype.exp_attr.value)
         else:  # unum: exact intermediate, no per-op re-encoding
             kernel = self._kernel_ref(op, prec)

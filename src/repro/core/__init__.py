@@ -27,11 +27,11 @@ from ..observability import (
     CAT_CACHE,
     CAT_COMPILE,
     CAT_RUNTIME,
+    absorb_kernel_stats,
     absorb_mpfr_stats,
     absorb_pass_timings,
     absorb_profile,
     absorb_report,
-    absorb_tier_stats,
     absorb_unum_stats,
     current_ledger,
     current_metrics,
@@ -114,11 +114,8 @@ class CompiledProgram:
         self._batch_codegen_key: Optional[str] = None
         self._batch_store = None
         #: Engine the driver was configured for; ``run()`` falls back
-        #: to it when neither ``engine`` nor ``dispatch`` is passed.
+        #: to it when no ``engine`` is passed.
         self._default_engine: Optional[str] = None
-        #: Kernel-tier policy the driver was configured for
-        #: (auto/generic/small); per-run ``kernel_tier=`` overrides it.
-        self._kernel_tier: str = "auto"
 
     def __getstate__(self):
         # The codegen store holds a live CompileCache reference; the
@@ -130,29 +127,13 @@ class CompiledProgram:
 
     # ------------------------------------------------------------ #
 
-    def _resolve_mode(self, dispatch: Optional[str],
-                      engine: Optional[str]) -> str:
-        """``engine`` wins over the legacy ``dispatch`` alias; ``None``
-        for both picks the driver's engine, then the backend default
+    def _resolve_mode(self, engine: Optional[str]) -> str:
+        """``None`` picks the driver's engine, then the backend default
         (jit for mpfr)."""
-        mode = engine if engine is not None else dispatch
-        if mode is None:
-            mode = self._default_engine
+        mode = engine if engine is not None else self._default_engine
         if mode is None:
             return resolve_engine(None, self.options.backend)
         return mode
-
-    def _resolve_tier(self, kernel_tier: Optional[str]) -> str:
-        """Per-run override wins; None falls back to the driver's
-        policy (auto when the program never saw a driver)."""
-        if kernel_tier is None:
-            return getattr(self, "_kernel_tier", "auto")
-        from ..codegen.smallfloat import KERNEL_TIER_POLICIES
-
-        if kernel_tier not in KERNEL_TIER_POLICIES:
-            raise ValueError(f"unknown kernel tier {kernel_tier!r}; "
-                             f"choose from {KERNEL_TIER_POLICIES}")
-        return kernel_tier
 
     def _codegen_store_for(self, mode: str):
         if mode != "jit":
@@ -193,25 +174,18 @@ class CompiledProgram:
     def run(self, name: str, args: Optional[List[object]] = None,
             cache: bool = True, max_steps: int = 500_000_000,
             coprocessor=None, costs=None,
-            dispatch: Optional[str] = None,
             profile: bool = False,
             pool: Optional[bool] = None,
-            engine: Optional[str] = None,
-            kernel_tier: Optional[str] = None) -> ExecutionResult:
+            engine: Optional[str] = None) -> ExecutionResult:
         """Execute a function; returns value + CostReport + stdout.
 
         ``costs`` selects a CycleCosts profile (default: Xeon-calibrated;
         pass ``ROCKET_CYCLE_COSTS`` for the Fig. 2 FPGA baseline).
         ``engine`` picks the execution engine (:data:`ENGINES`;
-        ``dispatch`` is the pre-engine spelling of the same knob and
-        still works; ``None`` for both means the backend default --
-        the specializing jit for mpfr, fused closures otherwise).
-        ``profile``/``pool`` configure the interpreter's observability
-        layer and MPFR object pool (``pool`` defaults per backend: on
-        except for Boost).  ``kernel_tier`` overrides the driver's
-        kernel-tier policy for this run (auto/generic/small: the jit
-        engine's precision-specialized fast-path kernels vs the
-        generic ones; bit-identical either way)."""
+        ``None`` means the backend default -- the specializing jit for
+        mpfr, fused closures otherwise).  ``profile``/``pool`` configure
+        the interpreter's observability layer and MPFR object pool
+        (``pool`` defaults per backend: on except for Boost)."""
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
         tracer = current_tracer()
@@ -247,14 +221,12 @@ class CompiledProgram:
                               wall_seconds=time.perf_counter() - wall0,
                               **report_fields(report))
             return result
-        mode = self._resolve_mode(dispatch, engine)
-        tier = self._resolve_tier(kernel_tier)
+        mode = self._resolve_mode(engine)
         interpreter = Interpreter(self.module, accounting=accounting,
                                   max_steps=max_steps, dispatch=mode,
                                   profile=profile,
                                   mpfr_pool=self._pool_default(pool),
-                                  codegen_store=self._codegen_store_for(mode),
-                                  kernel_tier=tier)
+                                  codegen_store=self._codegen_store_for(mode))
         try:
             result = interpreter.run(name, args)
         finally:
@@ -263,19 +235,18 @@ class CompiledProgram:
                 tracer.finish(span)
         result.interpreter = interpreter
         registry = current_metrics()
-        tier_stats = interpreter.tier_stats
+        kernel_stats = interpreter.kernel_stats
         if registry is not None:
             absorb_report(registry, result.report)
             absorb_mpfr_stats(registry, interpreter.mpfr.stats)
             if result.profile is not None:
                 absorb_profile(registry, result.profile)
-            if tier_stats is not None and tier_stats.total_ops():
-                absorb_tier_stats(registry, tier_stats)
+            if kernel_stats is not None and kernel_stats.ops:
+                absorb_kernel_stats(registry, kernel_stats)
         if ledger is not None:
             extra = {}
-            if tier_stats is not None and tier_stats.total_ops():
-                extra["kernel_tier"] = tier
-                extra["kernel_tiers"] = tier_stats.as_dict()
+            if kernel_stats is not None and kernel_stats.ops:
+                extra["kernels"] = kernel_stats.as_dict()
             ledger.record("run", function=name,
                           backend=self.options.backend, engine=mode,
                           wall_seconds=time.perf_counter() - wall0,
@@ -285,8 +256,7 @@ class CompiledProgram:
     def run_batch(self, name: str, args: Optional[List[object]] = None,
                   lanes: int = 1, cache: bool = True,
                   max_steps: int = 500_000_000, costs=None,
-                  pool: Optional[bool] = None,
-                  kernel_tier: Optional[str] = None):
+                  pool: Optional[bool] = None):
         """Execute a function across ``lanes`` independent instances
         with one IR dispatch per instruction (the batched jit engine).
 
@@ -320,12 +290,10 @@ class CompiledProgram:
                                  "lanes": lanes}) \
             if tracer is not None else None
         registry = current_metrics()
-        tier = self._resolve_tier(kernel_tier)
         interpreter = BatchInterpreter(
             self.module, lanes, accounting=accounting,
             max_steps=max_steps, mpfr_pool=self._pool_default(pool),
-            codegen_store=self._batch_codegen_store(),
-            kernel_tier=tier)
+            codegen_store=self._batch_codegen_store())
         try:
             try:
                 result = interpreter.run(name, args)
@@ -361,8 +329,7 @@ class CompiledProgram:
         if ledger is not None:
             extra = {}
             if np_counters != (0, 0, 0):
-                extra["kernel_tier"] = tier
-                extra["kernel_tiers"] = {
+                extra["kernels"] = {
                     "batch_np": {"ops": np_counters[0],
                                  "lanes": np_counters[1],
                                  "bailouts": np_counters[2]}}
@@ -400,20 +367,18 @@ class CompiledProgram:
 
     def interpreter(self, cache: bool = True,
                     max_steps: int = 500_000_000, costs=None,
-                    dispatch: Optional[str] = None, profile: bool = False,
+                    profile: bool = False,
                     pool: Optional[bool] = None,
-                    engine: Optional[str] = None,
-                    kernel_tier: Optional[str] = None) -> Interpreter:
+                    engine: Optional[str] = None) -> Interpreter:
         """A fresh interpreter over the compiled module (mpfr/boost/none)."""
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
-        mode = self._resolve_mode(dispatch, engine)
+        mode = self._resolve_mode(engine)
         return Interpreter(self.module, accounting=accounting,
                            max_steps=max_steps, dispatch=mode,
                            profile=profile,
                            mpfr_pool=self._pool_default(pool),
-                           codegen_store=self._codegen_store_for(mode),
-                           kernel_tier=self._resolve_tier(kernel_tier))
+                           codegen_store=self._codegen_store_for(mode))
 
     def machine(self, cache: bool = True, coprocessor=None,
                 max_steps: int = 500_000_000, costs=None):
@@ -438,8 +403,7 @@ class CompilerDriver:
     """
 
     def __init__(self, backend: str = "mpfr", opt_level: int = 3,
-                 polly: bool = False, cache=None, engine=None,
-                 kernel_tier: str = "auto", **kwargs):
+                 polly: bool = False, cache=None, engine=None, **kwargs):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
@@ -450,16 +414,6 @@ class CompilerDriver:
         #: cache fingerprint (not a CompileOptions field: it changes
         #: nothing about the IR, only how it is executed).
         self.engine = resolve_engine(engine, backend)
-        #: Kernel-tier policy (auto/generic/small) the programs' runs
-        #: default to; like ``engine`` it is an execution knob, hashed
-        #: into the fingerprint because the jit sidecar's emitted code
-        #: binds kernels at emission time.
-        from ..codegen.smallfloat import KERNEL_TIER_POLICIES
-
-        if kernel_tier not in KERNEL_TIER_POLICIES:
-            raise ValueError(f"unknown kernel tier {kernel_tier!r}; "
-                             f"choose from {KERNEL_TIER_POLICIES}")
-        self.kernel_tier = kernel_tier
 
     def compile(self, source: str, name: str = "module") -> CompiledProgram:
         ledger = current_ledger()
@@ -499,11 +453,9 @@ class CompilerDriver:
                                    "cached": False}):
                 return self._finish(self._compile(source, name))
         key = cache.fingerprint(source, self.options, name,
-                                engine=self.engine,
-                                kernel_tier=self.kernel_tier)
+                                engine=self.engine)
         batch_key = cache.fingerprint(source, self.options, name,
-                                      engine=self.engine, batch=True,
-                                      kernel_tier=self.kernel_tier)
+                                      engine=self.engine, batch=True)
         info["key"] = key
         if tracer is None:
             program = cache.get(key)
@@ -538,7 +490,6 @@ class CompilerDriver:
         the emitted-source stores (serial + batched, separately keyed)
         persisting next to the pickle."""
         program._default_engine = self.engine
-        program._kernel_tier = self.kernel_tier
         if self.engine == "jit" and key is not None:
             from ..codegen.pyjit import CodegenStore
 

@@ -159,8 +159,7 @@ class CompileCache:
     @staticmethod
     def fingerprint(source: str, options, name: str = "module",
                     engine: Optional[str] = None,
-                    batch: bool = False,
-                    kernel_tier: str = "auto") -> str:
+                    batch: bool = False) -> str:
         """Stable hex digest over everything that affects compilation.
 
         ``engine`` is the execution engine the program is being built
@@ -170,10 +169,7 @@ class CompileCache:
         ``batch`` keys batched-execution codegen sidecars separately:
         batch-mode jit modules use the fused N-lane kernel maps and
         broadcast assignments, so their source differs from serial
-        modules for the same program.  ``kernel_tier`` is the kernel
-        selection policy the program will run under (auto/generic/
-        small); it changes no IR, but codegen sidecars bind kernels by
-        policy, so tiers never share one.
+        modules for the same program.
         """
         h = hashlib.sha256()
         h.update(b"vpfloat-compile-cache\0")
@@ -183,7 +179,6 @@ class CompileCache:
         h.update(f"name={name}\0".encode())
         h.update(f"engine={engine!r}\0".encode())
         h.update(f"batch={batch!r}\0".encode())
-        h.update(f"kernel_tier={kernel_tier!r}\0".encode())
         h.update(f"codegen={CODEGEN_VERSION}\0".encode())
         for f in sorted(fields(options), key=lambda f: f.name):
             value = getattr(options, f.name)

@@ -145,15 +145,14 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                read_outputs: bool = True,
                coprocessor: Optional[UnumCoprocessor] = None,
                max_steps: int = 500_000_000, costs=None,
-               dispatch: Optional[str] = None, profile: bool = False,
+               profile: bool = False,
                pool: Optional[bool] = None,
                compile_cache=_UNSET, engine: Optional[str] = None,
                validate: bool = False, batch: Optional[int] = None,
                **driver_kwargs) -> RunOutcome:
     """Compile + execute one PolyBench kernel; extract its outputs.
 
-    ``engine`` selects the execution engine (``dispatch`` is the older
-    spelling of the same knob; ``None`` for both picks the backend
+    ``engine`` selects the execution engine (``None`` picks the backend
     default), ``profile``/``pool`` the observability layer and MPFR
     pool (see :meth:`CompiledProgram.run`); they are ignored by the
     unum machine backend.  ``compile_cache`` is a
@@ -189,8 +188,6 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     wall0 = time.perf_counter() if ledger is not None else 0.0
     if compile_cache is _UNSET:
         compile_cache = _COMPILE_CACHE
-    if engine is None:
-        engine = dispatch
     if batch is not None:
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -351,24 +348,6 @@ def _validate_batch_run(program, spec, outcome: RunOutcome,
                 lane=i)
         candidates.append((f"batch{batch_result.lanes}.lane{i}",
                            strictness, values, batch_result.reports[i]))
-    if batch_result.mode == "batched":
-        # generic↔specialized, batched: rerun the batch with the
-        # fast-path kernel tier forced off; every lane must still match
-        # the serial reference bit-for-bit.
-        tier_strictness = TRANSITIONS["generic↔specialized"]
-        generic = program.run_batch("run", [outcome.n],
-                                    lanes=batch_result.lanes,
-                                    cache=cache, max_steps=max_steps,
-                                    costs=costs, kernel_tier="generic")
-        for i in range(generic.lanes):
-            values = [generic.values[i]]
-            if read_outputs and generic.interpreter is not None:
-                values += _read_interpreter_outputs(
-                    generic.interpreter, int(generic.values[i]),
-                    spec.outputs(outcome.n), outcome.ftype,
-                    outcome.backend, lane=i)
-            candidates.append((f"tier.generic.lane{i}", tier_strictness,
-                               values, generic.reports[i]))
     return certificate_for_outcomes(
         subject=f"{outcome.kernel}-{outcome.backend}",
         reference_label="engine.jit.serial",
@@ -396,11 +375,10 @@ def _validate_run(program, spec, outcome: RunOutcome,
     # witness only when the primary run extracted them.
     read_outputs = bool(outcome.outputs)
 
-    def observe(run_engine, run_pool, run_tier=None):
+    def observe(run_engine, run_pool):
         result = program.run("run", [outcome.n], cache=cache,
                              max_steps=max_steps, costs=costs,
-                             engine=run_engine, pool=run_pool,
-                             kernel_tier=run_tier)
+                             engine=run_engine, pool=run_pool)
         values = [result.value]
         if read_outputs:
             values += _read_interpreter_outputs(
@@ -418,13 +396,6 @@ def _validate_run(program, spec, outcome: RunOutcome,
     if backend != "boost":
         values, report = observe(reference_engine, False)
         candidates.append(("pool.off", "traffic", values, report))
-    if reference_engine == "jit":
-        # generic↔specialized: the jit engine with the fast-path kernel
-        # tier forced off must reproduce the reference bit-for-bit.
-        values, report = observe("jit", None, run_tier="generic")
-        candidates.append(("tier.generic",
-                           TRANSITIONS["generic↔specialized"],
-                           values, report))
     return certificate_for_outcomes(
         subject=f"{outcome.kernel}-{backend}",
         reference_label=f"engine.{reference_engine}",

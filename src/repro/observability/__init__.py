@@ -49,11 +49,11 @@ from .ledger import (
 from .metrics import (
     MetricsRegistry,
     absorb_cache_stats,
+    absorb_kernel_stats,
     absorb_mpfr_stats,
     absorb_pass_timings,
     absorb_profile,
     absorb_report,
-    absorb_tier_stats,
     absorb_unum_stats,
 )
 from .tracer import (
@@ -72,8 +72,8 @@ __all__ = [
     "CAT_CACHE", "CAT_COMPILE", "CAT_PASS", "CAT_POOL", "CAT_RUNTIME",
     "CAT_VALIDATE", "CAT_WORKER", "LEDGER_SCHEMA_VERSION",
     "LedgerError", "MetricsRegistry", "RunLedger", "Span", "Tracer",
-    "absorb_cache_stats", "absorb_mpfr_stats", "absorb_pass_timings",
-    "absorb_profile", "absorb_report", "absorb_tier_stats",
+    "absorb_cache_stats", "absorb_kernel_stats", "absorb_mpfr_stats",
+    "absorb_pass_timings", "absorb_profile", "absorb_report",
     "bench_floor_scale",
     "absorb_unum_stats",
     "compare_ledgers", "current_ledger", "current_metrics",

@@ -288,51 +288,28 @@ def render_validation_summary(data: dict) -> str:
     return "\n".join(lines)
 
 
-def render_kernel_tier_summary(data: dict) -> str:
-    """Kernel-tier telemetry, derived from the ``kernel.tier.*``
-    counters (scalar ops served per tier, bind sites, per-call
-    fallbacks out of a specialized kernel, and the batched numpy tier's
-    op/lane/bailout traffic).  Empty string when no run bound kernels
-    through the tier selector."""
+def render_kernel_summary(data: dict) -> str:
+    """Kernel telemetry, derived from the ``kernel.*`` counters (jit
+    scalar-kernel ops and bind sites, per-call fallbacks to the library
+    by reason, and the batched numpy tier's op/lane/bailout traffic).
+    Empty string when no run bound kernels."""
     counters = data.get("counters", {})
-    tiers = {}
-    for name, value in counters.items():
-        if not name.startswith("kernel.tier."):
-            continue
-        parts = name[len("kernel.tier."):].split(".")
-        if len(parts) != 2 or parts[0] in ("fallback", "batch_np"):
-            continue
-        label, field = parts
-        entry = tiers.setdefault(label, {"ops": 0, "sites": 0})
-        if field in entry:
-            entry[field] += int(value)
-    np_ops = int(counters.get("kernel.tier.batch_np.ops", 0))
-    np_bailouts = int(counters.get("kernel.tier.batch_np.bailouts", 0))
-    if not tiers and not np_ops and not np_bailouts:
+    ops = int(counters.get("kernel.ops", 0))
+    sites = int(counters.get("kernel.sites", 0))
+    np_ops = int(counters.get("kernel.batch_np.ops", 0))
+    np_bailouts = int(counters.get("kernel.batch_np.bailouts", 0))
+    if not ops and not np_ops and not np_bailouts:
         return ""
-    total = sum(entry["ops"] for entry in tiers.values())
-    fast = sum(entry["ops"] for label, entry in tiers.items()
-               if label != "generic")
-    share = (100.0 * fast / total) if total else 0.0
-    lines = [f"kernel tiers: {total} scalar op(s), "
-             f"{fast} on the fast path ({share:.1f}%)"]
-    if tiers:
-        header = f"  {'tier':<10} {'ops':>12} {'sites':>8}"
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for label in sorted(tiers, key=lambda t: -tiers[t]["ops"]):
-            entry = tiers[label]
-            lines.append(f"  {label:<10} {entry['ops']:>12} "
-                         f"{entry['sites']:>8}")
-    fallbacks = {name[len("kernel.tier.fallback."):]: int(value)
+    lines = [f"kernels: {ops} scalar op(s) over {sites} site(s)"]
+    fallbacks = {name[len("kernel.fallback."):]: int(value)
                  for name, value in counters.items()
-                 if name.startswith("kernel.tier.fallback.")}
+                 if name.startswith("kernel.fallback.")}
     if fallbacks:
         shape = ", ".join(f"{reason}: {count}"
                           for reason, count in sorted(fallbacks.items()))
         lines.append(f"  fallbacks to the library: {shape}")
     if np_ops or np_bailouts:
-        np_lanes = int(counters.get("kernel.tier.batch_np.lanes", 0))
+        np_lanes = int(counters.get("kernel.batch_np.lanes", 0))
         lines.append(f"  batched numpy tier: {np_ops} vector op(s), "
                      f"{np_lanes} lane-op(s), "
                      f"{np_bailouts} bailout(s) to the fused loops")
@@ -673,7 +650,7 @@ def _main(argv=None) -> int:
                 continue
             print(registry.render())
             for section in (render_codegen_summary(data),
-                            render_kernel_tier_summary(data),
+                            render_kernel_summary(data),
                             render_batched_summary(data),
                             render_validation_summary(data),
                             render_unum_summary(data),

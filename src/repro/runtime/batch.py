@@ -280,10 +280,10 @@ class BatchContext:
 
     __slots__ = ("lanes", "ops", "fast_lanes", "scalar_fallbacks",
                  "occupancy", "divergences", "serial_fallback_lanes",
-                 "kernel_tier", "np_ops", "np_lanes", "np_bailouts",
+                 "np_ops", "np_lanes", "np_bailouts",
                  "_nan_cache")
 
-    def __init__(self, lanes: int, kernel_tier: str = "auto"):
+    def __init__(self, lanes: int):
         if lanes < 1:
             raise ValueError(f"batch needs >= 1 lane, got {lanes}")
         self.lanes = lanes
@@ -293,10 +293,8 @@ class BatchContext:
         self.occupancy: Dict[int, int] = {}
         self.divergences = 0
         self.serial_fallback_lanes = 0
-        #: Kernel-tier policy ("auto"/"small" allow the numpy tier,
-        #: "generic" forces the fused-loop kernels) and the numpy-tier
-        #: counters (ops/lanes served, per-call eligibility bailouts).
-        self.kernel_tier = kernel_tier
+        #: Numpy-tier counters (ops/lanes served, per-call eligibility
+        #: bailouts).
         self.np_ops = 0
         self.np_lanes = 0
         self.np_bailouts = 0
@@ -336,10 +334,10 @@ class BatchContext:
             registry.inc("batch.serial_fallback_lanes",
                          self.serial_fallback_lanes)
         if self.np_ops:
-            registry.inc("kernel.tier.batch_np.ops", self.np_ops)
-            registry.inc("kernel.tier.batch_np.lanes", self.np_lanes)
+            registry.inc("kernel.batch_np.ops", self.np_ops)
+            registry.inc("kernel.batch_np.lanes", self.np_lanes)
         if self.np_bailouts:
-            registry.inc("kernel.tier.batch_np.bailouts",
+            registry.inc("kernel.batch_np.bailouts",
                          self.np_bailouts)
         registry.observe("batch.size", self.lanes)
         for occ, count in self.occupancy.items():
@@ -589,9 +587,8 @@ class BatchInterpreter(Interpreter):
 
     def __init__(self, module, lanes: int, accounting=None,
                  max_steps: int = 500_000_000, mpfr_pool: bool = False,
-                 pool_limit: int = 1024, codegen_store=None,
-                 kernel_tier: str = "auto"):
-        ctx = BatchContext(lanes, kernel_tier=kernel_tier)
+                 pool_limit: int = 1024, codegen_store=None):
+        ctx = BatchContext(lanes)
         self.batch = ctx
         super().__init__(
             module,
@@ -604,7 +601,6 @@ class BatchInterpreter(Interpreter):
             mpfr_pool=mpfr_pool,
             pool_limit=pool_limit,
             codegen_store=codegen_store,
-            kernel_tier=kernel_tier,
         )
         self._install_batch_builtins()
 

@@ -169,8 +169,7 @@ class Interpreter:
                  profile: bool = False,
                  mpfr_pool: bool = False,
                  pool_limit: int = 1024,
-                 codegen_store=None,
-                 kernel_tier: str = "auto"):
+                 codegen_store=None):
         if dispatch not in ("jit", "fast", "unfused", "legacy"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.module = module
@@ -188,18 +187,15 @@ class Interpreter:
         #: are None unless repro.observability.enable_telemetry ran.
         self.tracer = current_tracer()
         self.metrics = current_metrics()
-        #: Kernel-tier policy (auto/generic/small) for the jit engine's
-        #: precision-specialized kernels; read by pyjit at bind time.
-        self.kernel_tier = kernel_tier
-        #: Per-tier op/site/fallback accounting -- only constructed when
-        #: some observer (metrics registry or run ledger) will consume
-        #: it, so unobserved runs bind the raw kernels with zero
-        #: per-call overhead.
-        self.tier_stats = None
+        #: Jit scalar-kernel op/site/fallback accounting -- only
+        #: constructed when some observer (metrics registry or run
+        #: ledger) will consume it, so unobserved runs bind the raw
+        #: kernels with zero per-call overhead.
+        self.kernel_stats = None
         if self.metrics is not None or current_ledger() is not None:
-            from ..codegen.smallfloat import TierStats
+            from ..codegen.kernels import KernelStats
 
-            self.tier_stats = TierStats()
+            self.kernel_stats = KernelStats()
         self.stdout: List[str] = []
         self.globals: Dict[str, int] = {}
         self._builtins: Dict[str, Callable] = {}

@@ -61,7 +61,7 @@ ERROR_CODES = ("bad_request", "overloaded", "timeout", "worker_failed",
 #: else is rejected, keeping the worker payload picklable and the
 #: coalescing key canonical).
 RUN_OPTION_KEYS = ("engine", "polly", "pool", "opt_level",
-                   "contract_fma", "kernel_tier")
+                   "contract_fma")
 
 
 def default_socket_path() -> str:

@@ -110,8 +110,7 @@ def execute_compile(payload: dict) -> dict:
     if cache is not None:
         key = cache.fingerprint(source, driver.options,
                                 f"{name}-{backend}",
-                                engine=driver.engine,
-                                kernel_tier=driver.kernel_tier)
+                                engine=driver.engine)
         after = stats_snapshot(cache.stats)
         cached = after.get("memory_hits", 0) > before.get(
             "memory_hits", 0) or after.get("disk_hits", 0) > before.get(

@@ -54,7 +54,6 @@ from .fuzzer import (
     cross_check_batched,
     cross_check_engines,
     cross_check_rounding,
-    cross_check_tiers,
     eval_mpfr_api,
     eval_reference,
     fuzz_programs,
@@ -66,7 +65,6 @@ from .harness import (
     record_certificate,
     validate_engines,
     validate_passes,
-    validate_tiers,
 )
 from .minimize import minimize
 
@@ -91,7 +89,6 @@ __all__ = [
     "cross_check_batched",
     "cross_check_engines",
     "cross_check_rounding",
-    "cross_check_tiers",
     "eval_mpfr_api",
     "eval_reference",
     "finish_certificate",
@@ -106,7 +103,6 @@ __all__ = [
     "save_reproducer",
     "validate_engines",
     "validate_passes",
-    "validate_tiers",
     "value_token",
     "values_digest",
     "values_token",

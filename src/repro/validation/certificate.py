@@ -68,11 +68,6 @@ _TRAFFIC_FIELDS = (
 #:   transport, so values and cycle reports must match bit-for-bit.
 #: * ``pool.on↔pool.off`` -- the MPFR free-list toggle.
 #: * ``O3↔O0`` / ``O3↔O3-minus-one-pass`` -- optimization transitions.
-#: * ``generic↔specialized`` -- the generic arbitrary-precision kernels
-#:   against the precision-specialized fast-path kernel tier (scalar
-#:   smallfloat kernels and the batched numpy tier); a pure
-#:   strength-reduction of the same arithmetic, so values and cycle
-#:   reports must match bit-for-bit.
 TRANSITIONS = {
     "engine↔engine": "exact",
     "serial↔batched": "exact",
@@ -80,7 +75,6 @@ TRANSITIONS = {
     "pool.on↔pool.off": "traffic",
     "O3↔O0": "sane",
     "O3↔O3-minus-one-pass": "sane",
-    "generic↔specialized": "exact",
 }
 
 

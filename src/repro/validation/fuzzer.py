@@ -385,78 +385,11 @@ def cross_check_batched(program: FuzzProgram,
     return None
 
 
-def cross_check_tiers(program: FuzzProgram,
-                      lanes: Sequence[int] = BATCH_LANES
-                      ) -> Optional[Mismatch]:
-    """Kernel-tier differential: the ``generic↔specialized`` transition
-    in lockstep.
-
-    Compiles the rendered source twice for the mpfr jit engine -- once
-    with ``kernel_tier="small"`` (the precision-specialized fast-path
-    kernels plus the batched numpy tier with its lane floor waived),
-    once with ``kernel_tier="generic"`` -- and runs both serially and
-    at each batched lane count.  Values and cycle reports must match
-    bit-for-bit under the transition's ``exact`` invariant; the tier is
-    a strength reduction of the same arithmetic, never a reround."""
-    from ..core import compile_source
-
-    strictness = TRANSITIONS["generic↔specialized"]
-    source = program.render_source()
-    programs = {
-        tier: compile_source(source, backend="mpfr", opt_level=3,
-                             engine="jit", kernel_tier=tier)
-        for tier in ("small", "generic")
-    }
-    runs = {tier: compiled.run("f", [], cache=False)
-            for tier, compiled in programs.items()}
-    reference = value_token(runs["generic"].value)
-    token = value_token(runs["small"].value)
-    if token != reference:
-        return Mismatch("tier", "mpfr.O3.jit.tier-small",
-                        "mpfr.O3.jit.tier-generic", repr(reference),
-                        repr(token))
-    reference_report = report_snapshot(runs["generic"].report)
-    detail = compare_reports(reference_report,
-                             report_snapshot(runs["small"].report),
-                             strictness)
-    if detail is not None:
-        return Mismatch(
-            "tier", "mpfr.O3.jit.tier-small.report",
-            "mpfr.O3.jit.tier-generic", repr(reference_report),
-            f"{report_snapshot(runs['small'].report)!r} ({detail})")
-    for n in lanes:
-        batches = {tier: compiled.run_batch("f", [], lanes=n,
-                                            cache=False)
-                   for tier, compiled in programs.items()}
-        for i in range(n):
-            reference = value_token(batches["generic"].values[i])
-            token = value_token(batches["small"].values[i])
-            if token != reference:
-                return Mismatch(
-                    "tier", f"mpfr.O3.jit.tier-small.batch{n}.lane{i}",
-                    f"mpfr.O3.jit.tier-generic.batch{n}",
-                    repr(reference), repr(token))
-            detail = compare_reports(
-                report_snapshot(batches["generic"].reports[i]),
-                report_snapshot(batches["small"].reports[i]),
-                strictness)
-            if detail is not None:
-                return Mismatch(
-                    "tier",
-                    f"mpfr.O3.jit.tier-small.batch{n}.lane{i}.report",
-                    f"mpfr.O3.jit.tier-generic.batch{n}",
-                    repr(report_snapshot(batches["generic"].reports[i])),
-                    f"{report_snapshot(batches['small'].reports[i])!r} "
-                    f"({detail})")
-    return None
-
-
 def cross_check(program: FuzzProgram, engines: bool = True,
-                batched: bool = True,
-                tiers: bool = True) -> Optional[Mismatch]:
+                batched: bool = True) -> Optional[Mismatch]:
     """Full differential: rounding-mode sweep, the compiled
-    engine/optimization sweep, the batched-engine sweep, then the
-    kernel-tier lockstep sweep.  None when everything agrees."""
+    engine/optimization sweep, then the batched-engine sweep.  None
+    when everything agrees."""
     registry = current_metrics()
     if registry is not None:
         registry.inc("validate.fuzz.programs")
@@ -465,8 +398,6 @@ def cross_check(program: FuzzProgram, engines: bool = True,
         mismatch = cross_check_engines(program)
     if mismatch is None and engines and batched:
         mismatch = cross_check_batched(program)
-    if mismatch is None and engines and tiers:
-        mismatch = cross_check_tiers(program)
     if registry is not None:
         registry.inc("validate.fuzz.failures" if mismatch
                      else "validate.fuzz.passed")

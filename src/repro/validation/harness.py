@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..core import ENGINES, CompilerDriver, resolve_engine
 from ..observability import CAT_VALIDATE, current_metrics, current_tracer
 from .certificate import (
-    TRANSITIONS,
     Certificate,
     CertificateError,
     make_check,
@@ -137,74 +136,6 @@ def validate_engines(source: str, func: str, args: Sequence = (),
             certificate.add(make_check(
                 "pool.off", "traffic", ref_values, values,
                 ref_report, report))
-    finally:
-        if span is not None:
-            tracer.finish(span)
-    return finish_certificate(certificate, strict)
-
-
-def validate_tiers(source: str, func: str, args: Sequence = (),
-                   backend: str = "mpfr",
-                   engine: Optional[str] = None,
-                   name: str = "program", cache=None,
-                   max_steps: int = 500_000_000, strict: bool = True,
-                   lanes: Optional[int] = None,
-                   **driver_kwargs) -> Certificate:
-    """Certificate for the ``generic↔specialized`` kernel transition.
-
-    The reference compiles and runs with ``kernel_tier="small"`` (the
-    precision-specialized fast-path kernels wherever legal); the
-    candidate forces ``kernel_tier="generic"``.  Both run on the jit
-    engine (the only engine that binds tiered kernels); the check runs
-    under the ``exact`` invariant -- the tier is a strength reduction,
-    not a semantic change.  ``lanes`` adds a batched-execution check of
-    the same transition (mpfr backend only).
-    """
-    if backend == "unum":
-        raise ValueError("kernel-tier validation applies to the "
-                         "interpreter backends (none/mpfr/boost), "
-                         "not unum")
-    strictness = TRANSITIONS["generic↔specialized"]
-    reference_engine = resolve_engine(engine, backend)
-    tracer = current_tracer()
-    span = tracer.span(f"validate:{name}", cat=CAT_VALIDATE,
-                       args={"kind": "kernel-tier"}) \
-        if tracer is not None else None
-    try:
-        ref_values, ref_report = _observe(
-            source, name, func, args, backend, reference_engine, None,
-            cache=cache, max_steps=max_steps, kernel_tier="small",
-            **driver_kwargs)
-        certificate = Certificate(
-            subject=name, kind="kernel-tier", reference="tier.small",
-            witness={"func": func, "args": list(args),
-                     "backend": backend,
-                     "value_digest": values_digest_from(ref_values),
-                     "cycles": ref_report["cycles"]})
-        values, report = _observe(
-            source, name, func, args, backend, reference_engine, None,
-            cache=cache, max_steps=max_steps, kernel_tier="generic",
-            **driver_kwargs)
-        certificate.add(make_check(
-            "tier.generic", strictness, ref_values, values,
-            ref_report, report))
-        if lanes is not None and backend == "mpfr":
-            for tier in ("small", "generic"):
-                driver = CompilerDriver(
-                    backend=backend, cache=cache, engine="jit",
-                    kernel_tier=tier, **driver_kwargs)
-                program = driver.compile(source, name=name)
-                batch = program.run_batch(func, list(args), lanes=lanes,
-                                          max_steps=max_steps)
-                tokens = values_token(batch.values)
-                snapshot = report_snapshot(batch.reports[0])
-                if tier == "small":
-                    batch_ref_values, batch_ref_report = tokens, snapshot
-                else:
-                    certificate.add(make_check(
-                        f"tier.generic.batch{lanes}", strictness,
-                        batch_ref_values, tokens,
-                        batch_ref_report, snapshot))
     finally:
         if span is not None:
             tracer.finish(span)

@@ -290,8 +290,7 @@ class TestHarnessBatch:
         certificate = outcome.certificate
         assert certificate is not None and certificate.passed
         labels = [check.label for check in certificate.checks]
-        assert labels == ["batch2.lane0", "batch2.lane1",
-                          "tier.generic.lane0", "tier.generic.lane1"]
+        assert labels == ["batch2.lane0", "batch2.lane1"]
         assert all(check.strictness == "exact"
                    for check in certificate.checks)
 

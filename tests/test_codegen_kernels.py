@@ -16,7 +16,7 @@ from repro.bigfloat import BigFloat, RNDA, RNDD, RNDN, RNDU, RNDZ, arith
 from repro.codegen.kernels import KERNEL_OPS, kernel_source, \
     specialized_kernel
 
-PRECISIONS = (24, 53, 64, 113, 160, 256, 512)
+PRECISIONS = (24, 53, 64, 113, 160, 256, 512, 1024, 4096)
 ROUNDING_MODES = (RNDN, RNDZ, RNDU, RNDD, RNDA)
 SAMPLES_PER_CONFIG = 12
 

@@ -6,8 +6,8 @@ from repro.workloads.polybench import source_for
 
 def _run_both(source, func, args, backend, n_or_args=None):
     program = compile_source(source, backend=backend)
-    legacy = program.run(func, args, dispatch="legacy", pool=False)
-    fast = program.run(func, args, dispatch="fast", pool=False)
+    legacy = program.run(func, args, engine="legacy", pool=False)
+    fast = program.run(func, args, engine="fast", pool=False)
     return legacy, fast
 
 
@@ -92,7 +92,7 @@ class TestSuperinstructionFusion:
         program = compile_source(source, backend=backend)
         results = {}
         for dispatch in ("legacy", "unfused", "fast"):
-            r = program.run(func, args, dispatch=dispatch, pool=False)
+            r = program.run(func, args, engine=dispatch, pool=False)
             results[dispatch] = (
                 r.value, r.report.cycles, r.report.instructions,
                 dict(r.report.by_category), r.report.mpfr_calls,
@@ -194,7 +194,7 @@ class TestRuntimePrecisionFreshness:
         for backend in ("none", "mpfr"):
             program = compile_source(source, backend=backend)
             for dispatch in ("fast", "legacy"):
-                result = program.run("f", [200], dispatch=dispatch)
+                result = program.run("f", [200], engine=dispatch)
                 assert result.value == 2.0 ** -69, (backend, dispatch)
 
     def test_vp_config_cache_across_runs(self):
@@ -236,8 +236,8 @@ class TestProfile:
     def test_profile_matches_between_dispatch_modes(self):
         source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
         program = compile_source(source, backend="mpfr")
-        fast = program.run("run", [4], profile=True, dispatch="fast")
-        legacy = program.run("run", [4], profile=True, dispatch="legacy")
+        fast = program.run("run", [4], profile=True, engine="fast")
+        legacy = program.run("run", [4], profile=True, engine="legacy")
         assert fast.profile.opcode_counts == legacy.profile.opcode_counts
         assert fast.profile.builtin_calls == legacy.profile.builtin_calls
 

@@ -1,23 +1,20 @@
-"""Tests for the precision-specialized kernel tier.
+"""Tests for the precision-specialized kernels.
 
-Four layers, matching the feature's own structure:
+Three layers, matching the feature's own structure:
 
-* the *inlined rounding blocks* the smallfloat emitter folds into its
+* the *inlined rounding blocks* the kernel emitter folds into its
   kernels must match :func:`round_significand` bit-for-bit across all
   five rounding modes, both signs, and the sticky/exact boundaries at
-  precisions 1..128 (hypothesis, with the tie/exact edges enumerated);
-* the *compiled tiered kernels* must be bit-identical to the
-  ``arith.<op>`` library on finite, special, and mixed-precision
-  operands (the latter exercising the fallback hooks);
-* the *selection and plumbing*: policy validation on the driver and
-  per-run overrides, fingerprint separation, TierStats accounting,
-  metrics counters, the batched numpy tier's "small"-policy lane-floor
-  waiver, and the service run-option whitelist;
-* a *pinned-seed lockstep* sweep of the differential fuzzer's
-  tier stage, the same corpus shape CI replays.
+  precisions 1..4096 (hypothesis, with the tie/exact edges enumerated);
+* the *compiled kernels* -- scalar, and the batched numpy tier lane by
+  lane -- must be bit-identical to the ``arith.<op>`` library on
+  finite, special, and mixed-precision operands (the latter exercising
+  the fallback hooks);
+* the *plumbing*: KernelStats accounting, metrics counters, and the
+  service run-option whitelist.
 """
 
-import random
+import asyncio
 
 import pytest
 from hypothesis import given, settings
@@ -33,23 +30,19 @@ from repro.bigfloat.rounding import (
     RNDZ,
     round_significand,
 )
-from repro.codegen.batch_np_kernels import NP_MIN_LANES, _min_lanes
-from repro.codegen.smallfloat import (
-    KERNEL_TIER_POLICIES,
-    SMALLFLOAT_MAX_PREC,
-    TierStats,
+from repro.codegen import batch_np_kernels
+from repro.codegen.batch_kernels import batch_kernel_factory
+from repro.codegen.kernels import (
+    KernelStats,
     _exact_round_lines,
     _window_round_lines,
-    kernel_tier,
-    select_scalar_kernel,
-    smallfloat_kernel,
-    smallfloat_source,
-    tier_label,
+    clamped_fallback,
+    specialized_kernel,
 )
-from repro.codegen.smallfloat import _LIBRARY as SCALAR_LIBRARY
-from repro.core import CompileCache, CompilerDriver, CompileOptions
-from repro.runtime.batch import BatchContext
-from repro.validation.certificate import TRANSITIONS, value_token
+from repro.codegen.kernels import _LIBRARY as SCALAR_LIBRARY
+from repro.core import CompilerDriver
+from repro.runtime.batch import BatchContext, VPBatch
+from repro.validation.certificate import value_token
 
 ALL_MODES = (RNDN, RNDZ, RNDU, RNDD, RNDA)
 
@@ -96,7 +89,7 @@ def rounding_cases(draw, sticky_window=False):
     """(prec, rm, sign, mant, exp[, sticky]) with the discarded-bits
     boundaries (exact, just-below-half, half, just-above, all-ones)
     explicitly enumerated alongside fully random windows."""
-    prec = draw(st.integers(1, SMALLFLOAT_MAX_PREC))
+    prec = draw(st.integers(1, 4096))
     rm = draw(st.sampled_from(ALL_MODES))
     sign = draw(st.integers(0, 1))
     exp = draw(st.integers(-2000, 2000))
@@ -146,13 +139,17 @@ def test_exact_round_block_cancellation_widens():
 
 
 # ----------------------------------------------------------------- #
-# Compiled tiered kernels vs the arith library
+# Compiled kernels vs the arith library
 # ----------------------------------------------------------------- #
 
 def _finite(draw, prec):
     sign = draw(st.integers(0, 1))
-    mant = draw(st.integers(1 << (prec - 1), (1 << prec) - 1)) \
-        if prec > 1 else 1
+    # Short significands (a few leading bits, zeros below) make exact
+    # results and rounding ties likely; full-width ones exercise the
+    # sticky paths.
+    width = draw(st.sampled_from((prec, prec, min(prec, 3))))
+    mant = draw(st.integers(1 << (width - 1), (1 << width) - 1)) \
+        << (prec - width)
     exp = draw(st.integers(-300, 300))
     return BigFloat(Kind.FINITE, sign, mant, exp, prec)
 
@@ -173,7 +170,8 @@ def operand(draw, prec):
 @st.composite
 def kernel_cases(draw):
     prec = draw(st.sampled_from((1, 2, 7, 24, 53, 63, 64,
-                                 65, 100, 127, 128)))
+                                 65, 100, 127, 128, 129, 256, 512,
+                                 1024, 4096)))
     op = draw(st.sampled_from(("add", "sub", "mul", "div",
                                "fma", "fms", "sqrt")))
     rm = draw(st.sampled_from(ALL_MODES))
@@ -186,7 +184,7 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_tiered_kernels_match_library(case):
     op, prec, rm, args = case
-    got = smallfloat_kernel(op, prec, rm)(*args)
+    got = specialized_kernel(op, prec, rm)(*args)
     want = SCALAR_LIBRARY[op](*args, prec, rm)
     assert value_token(got) == value_token(want), (op, prec, rm, args)
 
@@ -195,16 +193,17 @@ def test_tiered_kernels_match_library(case):
 @given(kernel_cases())
 def test_tiered_kernels_match_library_with_clamp(case):
     op, prec, rm, args = case
-    from repro.codegen.kernels import specialized_kernel
-    got = smallfloat_kernel(op, prec, rm, exp_bits=8)(*args)
-    want = specialized_kernel(op, prec, rm, exp_bits=8)(*args)
+    got = specialized_kernel(op, prec, rm, exp_bits=8)(*args)
+    library = SCALAR_LIBRARY[op]
+    want = clamped_fallback(lambda *xs: library(*xs, prec, rm),
+                            prec, 8)(*args)
     assert value_token(got) == value_token(want), (op, prec, rm, args)
 
 
 def test_mixed_precision_falls_back_with_note():
-    notes_stats = TierStats()
-    kernel = smallfloat_kernel("add", 24, RNDN,
-                               notes=notes_stats.notes())
+    notes_stats = KernelStats()
+    kernel = specialized_kernel("add", 24, RNDN,
+                                notes=notes_stats.notes())
     a = BigFloat.from_float(1.5, 24)
     b = BigFloat.from_float(2.5, 53)  # operand precision mismatch
     got = kernel(a, b)
@@ -214,87 +213,76 @@ def test_mixed_precision_falls_back_with_note():
 
 
 def test_special_operand_falls_back_with_note():
-    notes_stats = TierStats()
-    kernel = smallfloat_kernel("add", 24, RNDN,
-                               notes=notes_stats.notes())
+    notes_stats = KernelStats()
+    kernel = specialized_kernel("add", 24, RNDN,
+                                notes=notes_stats.notes())
     kernel(BigFloat.nan(24), BigFloat.from_float(1.0, 24))
     assert notes_stats.fallbacks["special"] == 1
 
 
-def test_tier_boundaries():
-    assert kernel_tier(1) == 1
-    assert kernel_tier(64) == 1
-    assert kernel_tier(65) == 2
-    assert kernel_tier(128) == 2
-    assert kernel_tier(129) == 0
-    assert tier_label(24) == "tier1"
-    assert tier_label(100) == "tier2"
-    assert tier_label(256) == "generic"
-    with pytest.raises(ValueError):
-        smallfloat_source("add", 129)
-    with pytest.raises(ValueError):
-        smallfloat_source("bogus", 24)
+# ----------------------------------------------------------------- #
+# Batched numpy tier, lane by lane vs the arith library
+# ----------------------------------------------------------------- #
+
+@st.composite
+def np_lane_cases(draw):
+    prec = draw(st.integers(batch_np_kernels.NP_MIN_PREC,
+                            batch_np_kernels.NP_MAX_PREC))
+    op = draw(st.sampled_from(("add", "sub", "mul")))
+    lanes = draw(st.integers(1, 6))
+
+    def lane():
+        kind = draw(st.sampled_from(["finite", "finite", "finite",
+                                     "zero"]))
+        if kind == "zero":
+            return BigFloat.zero(prec, draw(st.integers(0, 1)))
+        return _finite(draw, prec)
+
+    a = [lane() for _ in range(lanes)]
+    b = [lane() for _ in range(lanes)]
+    exp_bits = draw(st.sampled_from((None, 8, 16)))
+    return op, prec, exp_bits, a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(np_lane_cases())
+def test_batch_np_lanes_match_library(case):
+    op, prec, exp_bits, a, b = case
+    library = SCALAR_LIBRARY[op]
+
+    def reference(x, y):
+        return library(x, y, prec, RNDN)
+
+    if exp_bits is not None:
+        reference = clamped_fallback(reference, prec, exp_bits)
+    ctx = BatchContext(lanes=len(a))
+    generic = batch_kernel_factory(op, prec, RNDN, exp_bits)(ctx)
+    kernel = batch_np_kernels.make_np_kernel(op, prec, exp_bits, ctx,
+                                             generic)
+    with pytest.MonkeyPatch.context() as patch:
+        # Drop the lane-count floor so the vector path runs on tiny
+        # batches.
+        patch.setattr(batch_np_kernels, "NP_MIN_LANES", 1)
+        got = kernel(VPBatch.from_lanes(a), VPBatch.from_lanes(b))
+    assert ctx.np_ops == 1 and ctx.np_bailouts == 0
+    for x, y, lane in zip(a, b, got.lanes()):
+        assert value_token(lane) == value_token(reference(x, y)), \
+            (op, prec, exp_bits, x, y)
 
 
 # ----------------------------------------------------------------- #
-# Selection, plumbing, and telemetry
+# Plumbing and telemetry
 # ----------------------------------------------------------------- #
-
-def test_select_scalar_kernel_policies():
-    stats = TierStats()
-    select_scalar_kernel("add", 24, None, "auto", stats)
-    assert stats.sites["tier1"] == 1
-    select_scalar_kernel("add", 100, None, "small", stats)
-    assert stats.sites["tier2"] == 1
-    select_scalar_kernel("add", 24, None, "generic", stats)
-    assert stats.sites["generic"] == 1
-
 
 def test_counting_wrapper_and_merge():
-    stats = TierStats()
-    kernel = stats.counting(
-        "tier1", smallfloat_kernel("add", 24, RNDN))
+    stats = KernelStats()
+    kernel = stats.counting(specialized_kernel("add", 24, RNDN))
     a = BigFloat.from_float(1.0, 24)
     kernel(a, a)
     kernel(a, a)
-    assert stats.ops["tier1"] == 2
-    other = TierStats()
-    other.ops["generic"] = 3
-    stats.merge(other)
-    assert stats.total_ops() == 5
-    snap = stats.as_dict()
-    assert snap["ops"]["tier1"] == 2 and snap["ops"]["generic"] == 3
-
-
-def test_driver_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        CompilerDriver(backend="mpfr", kernel_tier="fast")
-
-
-def test_run_rejects_unknown_policy():
-    program = CompilerDriver(backend="mpfr").compile(SOURCE, name="k")
-    with pytest.raises(ValueError):
-        program.run("run", [4], kernel_tier="fast")
-
-
-def test_fingerprints_differ_by_tier():
-    options = CompileOptions(backend="mpfr")
-    prints = {CompileCache.fingerprint(SOURCE, options, name="k",
-                                       engine="jit", kernel_tier=tier)
-              for tier in KERNEL_TIER_POLICIES}
-    assert len(prints) == len(KERNEL_TIER_POLICIES)
-
-
-def test_per_run_override_is_bit_identical():
-    program = CompilerDriver(backend="mpfr", engine="jit").compile(
-        SOURCE, name="k")
-    assert program._kernel_tier == "auto"
-    runs = {tier: program.run("run", [40], kernel_tier=tier)
-            for tier in KERNEL_TIER_POLICIES}
-    tokens = {tier: value_token(r.value) for tier, r in runs.items()}
-    assert len(set(tokens.values())) == 1
-    cycles = {r.report.cycles for r in runs.values()}
-    assert len(cycles) == 1  # the tier is not a cost-model change
+    assert stats.ops == 2
+    assert stats.as_dict() == {"ops": 2, "sites": 0,
+                               "fallbacks": {"prec": 0, "special": 0}}
 
 
 def test_metrics_carry_tier_counters():
@@ -303,58 +291,39 @@ def test_metrics_carry_tier_counters():
         program = CompilerDriver(backend="mpfr", engine="jit").compile(
             SOURCE, name="k")
         program.run("run", [10])
-    tiered = {k: v for k, v in registry.counters.items()
-              if k.startswith("kernel.tier.")}
-    assert tiered.get("kernel.tier.tier1.ops", 0) > 0
-    assert tiered.get("kernel.tier.tier1.sites", 0) > 0
+    assert registry.counters.get("kernel.ops", 0) > 0
+    assert registry.counters.get("kernel.sites", 0) > 0
 
 
 def test_unobserved_runs_skip_tier_stats():
     program = CompilerDriver(backend="mpfr", engine="jit").compile(
         SOURCE, name="k")
     interp = program.interpreter()
-    assert interp.tier_stats is None  # raw kernels, no counting
+    assert interp.kernel_stats is None  # raw kernels, no counting
 
 
-def test_batch_np_small_policy_waives_lane_floor():
-    assert _min_lanes(BatchContext(lanes=4, kernel_tier="small")) == 1
-    assert _min_lanes(BatchContext(lanes=4)) == NP_MIN_LANES
-    assert _min_lanes(None) == NP_MIN_LANES
+def test_service_rejects_kernel_tier(tmp_path):
+    """A run request carrying the kernel-tier option, which is not a
+    run option, gets a structured ``bad_request`` naming it."""
+    from service_utils import FTYPE, connect, service
 
+    from repro.service import ServiceError
 
-def test_service_whitelists_kernel_tier():
-    from repro.service.protocol import RUN_OPTION_KEYS
-    assert "kernel_tier" in RUN_OPTION_KEYS
+    stale_option = "kernel_" + "tier"
 
+    async def scenario():
+        async with service(tmp_path, workers=1) as daemon:
+            client = await connect(daemon)
+            try:
+                await client.call("run", kernel="gemm", ftype=FTYPE,
+                                  n=4, backend="mpfr",
+                                  options={stale_option: "generic"})
+                raise AssertionError(f"{stale_option} was accepted")
+            except ServiceError as error:
+                assert error.code == "bad_request"
+                assert stale_option in str(error)
+            # The connection survives the rejection.
+            assert (await client.call("ping"))["pong"] is True
+            await client.close()
 
-def test_transition_table_has_tier_edge():
-    assert TRANSITIONS["generic↔specialized"] == "exact"
-
-
-def test_validate_tiers_certificate():
-    from repro.validation import validate_tiers
-    cert = validate_tiers(SOURCE, "run", [12], backend="mpfr",
-                          engine="jit", name="k", lanes=3)
-    assert cert.passed
-    assert cert.kind == "kernel-tier"
-    labels = {check.label for check in cert.checks}
-    assert "tier.generic" in labels
-    assert any(label.startswith("tier.generic.batch")
-               for label in labels)
-
-
-# ----------------------------------------------------------------- #
-# Pinned-seed fuzzer lockstep (the corpus CI replays)
-# ----------------------------------------------------------------- #
-
-PINNED_SEED = 20260809
-
-
-def test_fuzzer_tier_lockstep_pinned_corpus():
-    from repro.validation.fuzzer import cross_check_tiers, \
-        generate_program
-    rng = random.Random(PINNED_SEED)
-    for _ in range(5):
-        program = generate_program(rng, max_ops=8)
-        mismatch = cross_check_tiers(program)
-        assert mismatch is None, mismatch
+    asyncio.run(scenario())

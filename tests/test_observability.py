@@ -248,7 +248,7 @@ class TestCompilerTelemetry:
         for dispatch in ("fast", "unfused", "legacy"):
             program = compile_source(SRC, backend="none")
             with telemetry_session(metrics=True) as (_, registry):
-                program.run("run", [8], dispatch=dispatch)
+                program.run("run", [8], engine=dispatch)
             hist = registry.histograms.get("precision.op.fadd.bits")
             assert hist and 256 in hist, dispatch
             assert registry.counters["precision.rounding.RNDN"] > 0

@@ -115,10 +115,10 @@ class TestNoPerturbation:
     def test_outputs_and_report_identical(self, kernel, n, dispatch):
         ftype = "vpfloat<mpfr, 16, 128>"
         baseline = run_kernel(kernel, ftype, n, backend="none",
-                              dispatch=dispatch, compile_cache=None)
+                              engine=dispatch, compile_cache=None)
         with telemetry_session(trace=True, metrics=True):
             traced = run_kernel(kernel, ftype, n, backend="none",
-                                dispatch=dispatch, compile_cache=None)
+                                engine=dispatch, compile_cache=None)
         assert [_bits(x) for x in baseline.outputs] == \
             [_bits(x) for x in traced.outputs]
         assert _report_tuple(baseline.report) == \
@@ -127,11 +127,11 @@ class TestNoPerturbation:
     @pytest.mark.parametrize("dispatch", ("fast", "unfused", "legacy"))
     def test_mpfr_backend_identical(self, dispatch):
         baseline = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 8,
-                              backend="mpfr", dispatch=dispatch,
+                              backend="mpfr", engine=dispatch,
                               compile_cache=None)
         with telemetry_session(trace=True, metrics=True):
             traced = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 8,
-                                backend="mpfr", dispatch=dispatch,
+                                backend="mpfr", engine=dispatch,
                                 compile_cache=None)
         assert [_bits(x) for x in baseline.outputs] == \
             [_bits(x) for x in traced.outputs]
