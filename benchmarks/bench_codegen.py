@@ -4,8 +4,8 @@ Measures host wall-clock time for the PolyBench ``gemm`` and
 ``jacobi-1d`` kernels on a ``vpfloat<mpfr, 16, 256>`` element type,
 comparing:
 
-* **fast** -- the fused closure-table dispatch engine (the previous
-  default for the mpfr backend);
+* **fast** -- the closure-table dispatch engine (the previous default
+  for the mpfr backend);
 * **jit** -- the specializing Python-source codegen engine
   (:mod:`repro.codegen.pyjit`): straight-line source per IR function,
   SSA values in locals, constant precisions and inlined MPFR kernels
@@ -85,7 +85,7 @@ def bench_kernel(kernel: str, n: int, reps: int, failures, dump_dir=None):
     jit_wall, fast_wall = min(walls["jit"]), min(walls["fast"])
     speedup = fast_wall / jit_wall if jit_wall else float("inf")
     print(f"kernel={kernel} ftype={FTYPE} n={n} reps={reps}")
-    print(f"fast (fused closure tables):   {fast_wall:8.3f} s")
+    print(f"fast (closure tables):         {fast_wall:8.3f} s")
     print(f"jit  (specializing codegen):   {jit_wall:8.3f} s")
     print(f"speedup:                       {speedup:8.2f}x")
 

@@ -5,8 +5,7 @@ rounding, one family at every precision) against the
 :mod:`repro.bigfloat.arith` library they replace, on the *actual operand
 streams* a jit gemm run feeds them: the streams are recorded from one
 instrumented run per precision, then replayed through both under the
-timer.  The batched section times the single-limb numpy tier against
-the generic fused-loop batch kernels on broadcast operand batches.
+timer.
 
 Verifies bit-identity while it measures -- three digest assertions per
 configuration:
@@ -15,13 +14,11 @@ configuration:
   ``legacy`` engine's run (which calls the arith library) exactly;
 * both runs' CostReport snapshots must be identical (the kernels are a
   strength reduction, not a cost-model change);
-* every replayed op must match the library, and every batched lane the
-  generic batch kernel, bit for bit.
+* every replayed op must match the library bit for bit.
 
 Asserts the per-op speedup floors (>= 2x at 24--53-bit, >= 1.5x from
-128 bits up, >= 2x on the single-limb batch path; all scaled by
-``$VPFLOAT_BENCH_FLOOR_SCALE``) and emits a JSON document next to the
-other bench artifacts.
+128 bits up; all scaled by ``$VPFLOAT_BENCH_FLOOR_SCALE``) and emits a
+JSON document next to the other bench artifacts.
 
 Usage::
 
@@ -34,32 +31,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
-from repro.bigfloat.number import Kind
 from repro.bigfloat.rounding import RNDN
-from repro.codegen import batch_np_kernels as npk
 from repro.codegen import pyjit
-from repro.codegen.batch_kernels import batch_kernel_factory
 from repro.codegen.kernels import _LIBRARY, clamped_fallback, \
     specialized_kernel
 from repro.evaluation.harness import run_kernel
 from repro.observability import bench_floor_scale, \
     reproducibility_envelope
-from repro.runtime.batch import BatchContext, VPBatch
 from repro.validation.certificate import report_snapshot, value_token, \
     values_digest
 
-BENCH_FORMAT_VERSION = 3  # v3: the scalar baseline is the arith library
+BENCH_FORMAT_VERSION = 4  # v4: scalar kernels only (no batch section)
 KERNEL = "gemm"
 PRECISIONS = (24, 53, 128, 512, 1024)
 SCALAR_FLOORS = {24: 2.0, 53: 2.0, 128: 1.5, 512: 1.5, 1024: 1.5}
-BATCH_FLOOR = 2.0
-BATCH_PREC = 53
-BATCH_LANES_FULL = 1000
-BATCH_LANES_QUICK = 256
 
 
 # ----------------------------------------------------------------- #
@@ -178,65 +166,10 @@ def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
             "cycles": reports["jit"]["cycles"]}
 
 
-# ----------------------------------------------------------------- #
-# Batched numpy tier vs the generic fused-loop batch kernels
-# ----------------------------------------------------------------- #
-
-def _random_batch(rng, lanes: int, prec: int) -> VPBatch:
-    kind, sign, mant, exp = [], [], [], []
-    for _ in range(lanes):
-        kind.append(Kind.FINITE)
-        sign.append(rng.randint(0, 1))
-        mant.append(rng.randrange(1 << (prec - 1), 1 << prec))
-        exp.append(rng.randrange(-40, 40))
-    return VPBatch(kind, sign, mant, exp, prec)
-
-
-def bench_batch(lanes: int, reps: int, failures) -> dict:
-    """Single-limb numpy tier vs the generic batch kernels on
-    broadcast operand batches; -> the JSON row."""
-    prec = BATCH_PREC
-    rng = random.Random(20260809)
-    ctx = BatchContext(lanes=lanes)
-    rows = {}
-    np_total = generic_total = 0.0
-    for op in ("add", "mul"):
-        generic = batch_kernel_factory(op, prec, RNDN, None)(ctx)
-        tiered = npk.make_np_kernel(op, prec, None, ctx, generic)
-        a = _random_batch(rng, lanes, prec)
-        b = _random_batch(rng, lanes, prec)
-        r_np = tiered(a, b)  # also warms the cached uint64 form
-        r_gen = generic(a, b)
-        lanes_np = list(zip(r_np.kind, r_np.sign, r_np.mant, r_np.exp))
-        lanes_gen = list(zip(r_gen.kind, r_gen.sign, r_gen.mant,
-                             r_gen.exp))
-        if lanes_np != lanes_gen:
-            failures.append(f"batch {op}@{prec}: numpy-tier lanes "
-                            f"diverge from the generic kernel")
-        t_np = replay_seconds(tiered, [(a, b)] * 16, reps) / 16
-        t_gen = replay_seconds(generic, [(a, b)] * 16, reps) / 16
-        np_total += t_np
-        generic_total += t_gen
-        rows[op] = {"np_seconds": t_np, "generic_seconds": t_gen,
-                    "speedup": t_gen / t_np if t_np else float("inf")}
-    speedup = generic_total / np_total if np_total else float("inf")
-    floor = BATCH_FLOOR * bench_floor_scale()
-    print(f"batch@{prec} x{lanes} lanes: numpy-tier speedup "
-          f"{speedup:5.2f}x  (floor {floor:.2f}x)")
-    for op, row in sorted(rows.items()):
-        print(f"    {op:<4} {row['speedup']:5.2f}x")
-    if speedup < floor:
-        failures.append(f"batch@{prec} x{lanes}: numpy-tier speedup "
-                        f"{speedup:.2f}x below the {floor:.2f}x floor")
-    return {"prec": prec, "lanes": lanes, "ops": rows,
-            "speedup_vs_generic": speedup, "floor": floor,
-            "np_vector_ops": ctx.np_ops, "np_bailouts": ctx.np_bailouts}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="smaller gemm and batch, fewer reps "
+                        help="smaller gemm, fewer reps "
                              "(CI smoke mode; the floors still apply)")
     parser.add_argument("--reps", type=int, default=None,
                         help="replay repetitions per kernel "
@@ -248,20 +181,17 @@ def main(argv=None) -> int:
     reps = args.reps if args.reps is not None else (3 if args.quick
                                                     else 5)
     gemm_n = 6 if args.quick else 8
-    lanes = BATCH_LANES_QUICK if args.quick else BATCH_LANES_FULL
 
     failures: list = []
     document = {"version": BENCH_FORMAT_VERSION, "kernel": KERNEL,
                 "quick": args.quick, "reps": reps,
                 "floor_scale": bench_floor_scale(),
                 "meta": reproducibility_envelope(),
-                "scalar": [], "batch": None}
+                "scalar": []}
     print(f"bench_kernel_tiers: {KERNEL} n={gemm_n}, {reps} rep(s)")
     for prec in PRECISIONS:
         document["scalar"].append(bench_scalar(prec, gemm_n, reps,
                                                failures))
-    print()
-    document["batch"] = bench_batch(lanes, reps, failures)
 
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:

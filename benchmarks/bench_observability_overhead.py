@@ -5,8 +5,8 @@ installed, the hot paths carry no telemetry work: producers bind the
 process-global hooks once at construction, so the disabled
 configuration executes the same closure bodies as before the subsystem
 existed.  This benchmark measures that on the fast-path ``gemm``
-pipeline (fused dispatch + MPFR pool, one interpreter reused across
-repetitions -- the steady-state evaluation-harness shape):
+pipeline (closure-table dispatch + MPFR pool, one interpreter reused
+across repetitions -- the steady-state evaluation-harness shape):
 
 * **control** -- disabled-mode runs in a fresh process state;
 * **disabled** -- disabled-mode runs *after* a telemetry session has

@@ -36,11 +36,11 @@ def main() -> None:
 
     print(f"kernel={kernel}  n={n}  (reference: 700-bit run)\n")
     reference = run_kernel(kernel, "vpfloat<mpfr, 16, 700>", n,
-                           backend="none", cache=False)
+                           backend="none")
     print(f"{'type':<10}{'log10(residual)':>18}  note")
     print("-" * 44)
     for label, ftype in TYPES:
-        outcome = run_kernel(kernel, ftype, n, backend="none", cache=False)
+        outcome = run_kernel(kernel, ftype, n, backend="none")
         err = residual_error(outcome.outputs, reference.outputs)
         magnitude = log10_magnitude(err)
         note = ""

@@ -65,7 +65,7 @@ def run_case(title, xs, ys, n):
     for label, ftype in FORMATS:
         program = compile_source(TEMPLATE.replace("FTYPE", ftype),
                                  backend="none")
-        interp = program.interpreter(cache=False)
+        interp = program.interpreter()
         base_x = interp.memory.alloc_heap(8 * n)
         base_y = interp.memory.alloc_heap(8 * n)
         for i in range(n):

@@ -512,23 +512,6 @@ def batch_kernel_source(op: str, prec: int,
     return _binary_shell(body, prec)
 
 
-def select_batch_kernel(op: str, prec: int, rm: RoundingMode,
-                        exp_bits: Optional[int], ctx) -> Callable:
-    """The batched kernel for one call-site key.
-
-    Single-limb precisions get the vectorized numpy tier
-    (:mod:`repro.codegen.batch_np_kernels`) wrapping this generic
-    kernel as its per-call fallback; any shape the numpy tier does not
-    cover binds the generic fused-loop kernel directly.  Results are
-    bit-identical per lane either way.
-    """
-    generic = batch_kernel_factory(op, prec, rm, exp_bits)(ctx)
-    from .batch_np_kernels import make_np_kernel, np_tier_eligible
-    if np_tier_eligible(op, prec, rm):
-        return make_np_kernel(op, prec, exp_bits, ctx, generic)
-    return generic
-
-
 def batch_kernel_factory(op: str, prec: int,
                          rm: RoundingMode = RoundingMode.NEAREST_EVEN,
                          exp_bits: Optional[int] = None) -> Callable:

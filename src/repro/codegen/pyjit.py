@@ -20,7 +20,7 @@ re-implemented), and runtime errors keep their exact types and
 messages.  Anything the emitter cannot prove static -- dynamic vpfloat
 attributes, posit arithmetic, unknown builtins, dynamically-sized
 element types, non-static GEPs -- raises :class:`_Unsupported` during
-emission and that one *function* silently falls back to the fused
+emission and that one *function* silently falls back to the
 closure-table engine; jit selection is per-function, never a hard
 error.
 
@@ -75,7 +75,7 @@ from ..ir import (
 )
 from ..observability.tracer import CAT_COMPILE
 from . import CODEGEN_VERSION
-from .batch_kernels import select_batch_kernel
+from .batch_kernels import batch_kernel_factory
 from .kernels import bind_scalar_kernel
 
 #: vpfloat binary opcodes with an inlinable specialized kernel.
@@ -166,8 +166,8 @@ class _BatchKernelMap(dict):
 
     def __missing__(self, key):
         prec, exp_bits = key
-        kernel = select_batch_kernel(self.op, prec, RNDN, exp_bits,
-                                     self.ctx)
+        kernel = batch_kernel_factory(self.op, prec, RNDN,
+                                      exp_bits)(self.ctx)
         self[key] = kernel
         return kernel
 

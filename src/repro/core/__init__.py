@@ -41,14 +41,13 @@ from ..observability import (
 from ..passes import build_o3_pipeline
 from ..passes.polly import optimize_unit
 from ..runtime import CostAccounting, ExecutionResult, Interpreter
-from ..runtime.cost_model import CacheModel
 from .cache import CacheStats, CompileCache, as_compile_cache, \
     default_cache_dir
 
 BACKENDS = ("none", "mpfr", "boost", "unum")
 
 #: Execution engines, fastest first (see README "Execution engines").
-ENGINES = ("jit", "fast", "unfused", "legacy")
+ENGINES = ("jit", "fast", "legacy")
 
 __all__ = [
     "BACKENDS", "CacheStats", "CompileCache", "CompileOptions",
@@ -62,8 +61,8 @@ def resolve_engine(engine: Optional[str], backend: str) -> str:
 
     ``None`` picks the per-backend default: the specializing ``jit``
     codegen engine for the mpfr backend (its lowered modules are where
-    the emitted straight-line code pays off most), the fused closure
-    tables (``fast``) everywhere else.
+    the emitted straight-line code pays off most), the closure tables
+    (``fast``) everywhere else.
     """
     if engine is None:
         return "jit" if backend == "mpfr" else "fast"
@@ -172,7 +171,7 @@ class CompiledProgram:
         return pool
 
     def run(self, name: str, args: Optional[List[object]] = None,
-            cache: bool = True, max_steps: int = 500_000_000,
+            max_steps: int = 500_000_000,
             coprocessor=None, costs=None,
             profile: bool = False,
             pool: Optional[bool] = None,
@@ -183,11 +182,10 @@ class CompiledProgram:
         pass ``ROCKET_CYCLE_COSTS`` for the Fig. 2 FPGA baseline).
         ``engine`` picks the execution engine (:data:`ENGINES`;
         ``None`` means the backend default -- the specializing jit for
-        mpfr, fused closures otherwise).  ``profile``/``pool`` configure
+        mpfr, closure tables otherwise).  ``profile``/``pool`` configure
         the interpreter's observability layer and MPFR object pool
         (``pool`` defaults per backend: on except for Boost)."""
-        accounting = CostAccounting(costs=costs,
-                                    cache=CacheModel() if cache else None)
+        accounting = CostAccounting(costs=costs)
         tracer = current_tracer()
         ledger = current_ledger()
         wall0 = time.perf_counter() if ledger is not None else 0.0
@@ -254,8 +252,7 @@ class CompiledProgram:
         return result
 
     def run_batch(self, name: str, args: Optional[List[object]] = None,
-                  lanes: int = 1, cache: bool = True,
-                  max_steps: int = 500_000_000, costs=None,
+                  lanes: int = 1, max_steps: int = 500_000_000, costs=None,
                   pool: Optional[bool] = None):
         """Execute a function across ``lanes`` independent instances
         with one IR dispatch per instruction (the batched jit engine).
@@ -280,8 +277,7 @@ class CompiledProgram:
             raise ValueError(
                 "batched execution requires the mpfr backend, "
                 f"not {self.options.backend!r}")
-        accounting = CostAccounting(costs=costs,
-                                    cache=CacheModel() if cache else None)
+        accounting = CostAccounting(costs=costs)
         tracer = current_tracer()
         ledger = current_ledger()
         wall0 = time.perf_counter() if ledger is not None else 0.0
@@ -303,7 +299,7 @@ class CompiledProgram:
                 if span is not None:
                     span.args["fallback"] = str(exc)
                 serial = self._run_batch_serial(
-                    name, args, lanes, cache=cache, max_steps=max_steps,
+                    name, args, lanes, max_steps=max_steps,
                     costs=costs, pool=pool, reason=str(exc))
                 if ledger is not None:
                     ledger.record(
@@ -319,32 +315,23 @@ class CompiledProgram:
                 span.args["cycles"] = accounting.report.cycles
                 tracer.finish(span)
         values = [lane_view(result.value, i) for i in range(lanes)]
-        batch_ctx = interpreter.batch
-        np_counters = (batch_ctx.np_ops, batch_ctx.np_lanes,
-                       batch_ctx.np_bailouts)
         interpreter.batch.flush(registry)
         if registry is not None:
             absorb_report(registry, result.report)
             absorb_mpfr_stats(registry, interpreter.mpfr.stats)
         if ledger is not None:
-            extra = {}
-            if np_counters != (0, 0, 0):
-                extra["kernels"] = {
-                    "batch_np": {"ops": np_counters[0],
-                                 "lanes": np_counters[1],
-                                 "bailouts": np_counters[2]}}
             ledger.record("batch_run", function=name,
                           backend=self.options.backend, engine="jit",
                           lanes=lanes, mode="batched",
                           wall_seconds=time.perf_counter() - wall0,
-                          **extra, **report_fields(result.report))
+                          **report_fields(result.report))
         return BatchResult(lanes=lanes, values=values,
                            reports=[result.report] * lanes,
                            stdout=result.stdout, mode="batched",
                            interpreter=interpreter)
 
-    def _run_batch_serial(self, name, args, lanes, cache, max_steps,
-                          costs, pool, reason):
+    def _run_batch_serial(self, name, args, lanes, max_steps, costs, pool,
+                          reason):
         """Per-lane serial jit runs standing in for a bailed-out batch."""
         from ..runtime.batch import BatchResult
 
@@ -353,8 +340,7 @@ class CompiledProgram:
         stdout: List[str] = []
         interpreter = None
         for _ in range(lanes):
-            result = self.run(name, args, cache=cache,
-                              max_steps=max_steps, costs=costs,
+            result = self.run(name, args, max_steps=max_steps, costs=costs,
                               pool=pool, engine="jit")
             values.append(result.value)
             reports.append(result.report)
@@ -365,14 +351,12 @@ class CompiledProgram:
                            fallback_reason=reason,
                            interpreter=interpreter)
 
-    def interpreter(self, cache: bool = True,
-                    max_steps: int = 500_000_000, costs=None,
+    def interpreter(self, max_steps: int = 500_000_000, costs=None,
                     profile: bool = False,
                     pool: Optional[bool] = None,
                     engine: Optional[str] = None) -> Interpreter:
         """A fresh interpreter over the compiled module (mpfr/boost/none)."""
-        accounting = CostAccounting(costs=costs,
-                                    cache=CacheModel() if cache else None)
+        accounting = CostAccounting(costs=costs)
         mode = self._resolve_mode(engine)
         return Interpreter(self.module, accounting=accounting,
                            max_steps=max_steps, dispatch=mode,
@@ -380,13 +364,12 @@ class CompiledProgram:
                            mpfr_pool=self._pool_default(pool),
                            codegen_store=self._codegen_store_for(mode))
 
-    def machine(self, cache: bool = True, coprocessor=None,
-                max_steps: int = 500_000_000, costs=None):
+    def machine(self, coprocessor=None, max_steps: int = 500_000_000,
+                costs=None):
         """A fresh UNUM machine over the compiled assembly."""
         from ..runtime.unum_machine import UnumMachine
 
-        accounting = CostAccounting(costs=costs,
-                                    cache=CacheModel() if cache else None)
+        accounting = CostAccounting(costs=costs)
         return UnumMachine(self.asm, accounting=accounting,
                            coprocessor=coprocessor, max_steps=max_steps)
 

@@ -444,7 +444,10 @@ class CompileCache:
 
 
 def as_compile_cache(cache) -> Optional[CompileCache]:
-    """Coerce ``cache`` (CompileCache | path-like | None) to a cache."""
-    if cache is None or isinstance(cache, CompileCache):
+    """Coerce ``cache`` (CompileCache | path-like | None | False) to a
+    cache; ``False`` means no cache, like ``None``."""
+    if cache is None or cache is False:
+        return None
+    if isinstance(cache, CompileCache):
         return cache
     return CompileCache(os.fspath(cache))

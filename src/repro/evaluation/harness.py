@@ -141,8 +141,7 @@ def element_stride(ftype: str, backend: str) -> int:
 
 
 def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
-               polly: bool = False, cache: bool = True,
-               read_outputs: bool = True,
+               polly: bool = False, read_outputs: bool = True,
                coprocessor: Optional[UnumCoprocessor] = None,
                max_steps: int = 500_000_000, costs=None,
                profile: bool = False,
@@ -156,7 +155,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     default), ``profile``/``pool`` the observability layer and MPFR
     pool (see :meth:`CompiledProgram.run`); they are ignored by the
     unum machine backend.  ``compile_cache`` is a
-    :class:`~repro.core.CompileCache` (or None to force a fresh
+    :class:`~repro.core.CompileCache` (or None/False to force a fresh
     compile); left unset, the process default installed via
     :func:`set_compile_cache` applies.
 
@@ -205,7 +204,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
 
     if batch is not None:
         outcome = _run_kernel_batched(program, spec, kernel, ftype,
-                                      backend, n, batch, cache=cache,
+                                      backend, n, batch,
                                       max_steps=max_steps, costs=costs,
                                       pool=pool,
                                       read_outputs=read_outputs,
@@ -223,7 +222,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
             config = UnumConfig(params["ess"], params["fss"],
                                 params.get("size"))
             coprocessor = UnumCoprocessor(wgp=min(512, config.precision))
-        machine = program.machine(cache=cache, coprocessor=coprocessor,
+        machine = program.machine(coprocessor=coprocessor,
                                   max_steps=max_steps, costs=costs)
         value = machine.run("run", [n])
         report = machine.accounting.report
@@ -246,9 +245,8 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
         return RunOutcome(kernel, ftype, backend, n, outputs, report, value,
                           pass_timings=program.pass_timings)
 
-    result = program.run("run", [n], cache=cache, max_steps=max_steps,
-                         costs=costs, engine=engine, profile=profile,
-                         pool=pool)
+    result = program.run("run", [n], max_steps=max_steps, costs=costs,
+                         engine=engine, profile=profile, pool=pool)
     outputs = []
     if read_outputs:
         outputs = _read_interpreter_outputs(
@@ -263,7 +261,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     if validate:
         try:
             outcome.certificate = _validate_run(
-                program, spec, outcome, engine=engine, cache=cache,
+                program, spec, outcome, engine=engine,
                 max_steps=max_steps, costs=costs)
             validated = True
         except Exception:
@@ -287,8 +285,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
 
 
 def _run_kernel_batched(program, spec, kernel: str, ftype: str,
-                        backend: str, n: int, lanes: int, cache: bool,
-                        max_steps: int, costs, pool: Optional[bool],
+                        backend: str, n: int, lanes: int, max_steps: int, costs, pool: Optional[bool],
                         read_outputs: bool,
                         validate: bool) -> RunOutcome:
     """One batched SPMD execution standing in for a serial point.
@@ -297,7 +294,7 @@ def _run_kernel_batched(program, spec, kernel: str, ftype: str,
     carries lane 0's value/outputs/report -- which the batch engine
     guarantees (and ``validate=True`` certifies) to be bit-identical
     to a serial jit run."""
-    result = program.run_batch("run", [n], lanes=lanes, cache=cache,
+    result = program.run_batch("run", [n], lanes=lanes,
                                max_steps=max_steps, costs=costs,
                                pool=pool)
     value = result.values[0]
@@ -315,13 +312,13 @@ def _run_kernel_batched(program, spec, kernel: str, ftype: str,
                          batch=lanes, batch_mode=result.mode)
     if validate:
         outcome.certificate = _validate_batch_run(
-            program, spec, outcome, result, cache=cache,
+            program, spec, outcome, result,
             max_steps=max_steps, costs=costs)
     return outcome
 
 
 def _validate_batch_run(program, spec, outcome: RunOutcome,
-                        batch_result, cache: bool, max_steps: int,
+                        batch_result, max_steps: int,
                         costs) -> object:
     """Certify the ``serial↔batched`` transition: one serial jit
     reference run, every batch lane checked against it bit-for-bit
@@ -330,8 +327,8 @@ def _validate_batch_run(program, spec, outcome: RunOutcome,
     from ..validation import TRANSITIONS, certificate_for_outcomes
 
     strictness = TRANSITIONS["serial↔batched"]
-    serial = program.run("run", [outcome.n], cache=cache,
-                         max_steps=max_steps, costs=costs, engine="jit")
+    serial = program.run("run", [outcome.n], max_steps=max_steps,
+                         costs=costs, engine="jit")
     read_outputs = bool(outcome.outputs)
     ref_values = [serial.value]
     if read_outputs:
@@ -361,7 +358,7 @@ def _validate_batch_run(program, spec, outcome: RunOutcome,
 
 
 def _validate_run(program, spec, outcome: RunOutcome,
-                  engine: Optional[str], cache: bool, max_steps: int,
+                  engine: Optional[str], max_steps: int,
                   costs) -> object:
     """Cross-run the other engines (and the pool toggle) against the
     primary outcome and assemble its certificate (strict)."""
@@ -376,9 +373,8 @@ def _validate_run(program, spec, outcome: RunOutcome,
     read_outputs = bool(outcome.outputs)
 
     def observe(run_engine, run_pool):
-        result = program.run("run", [outcome.n], cache=cache,
-                             max_steps=max_steps, costs=costs,
-                             engine=run_engine, pool=run_pool)
+        result = program.run("run", [outcome.n], max_steps=max_steps,
+                             costs=costs, engine=run_engine, pool=run_pool)
         values = [result.value]
         if read_outputs:
             values += _read_interpreter_outputs(

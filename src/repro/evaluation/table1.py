@@ -53,14 +53,13 @@ def _cell_group(kernel: str, dataset: str, max_steps: int,
     granularity would recompute it."""
     n = KERNELS[kernel].size_for(dataset)
     reference = run_kernel(kernel, REFERENCE_TYPE, n,
-                           backend="none", cache=False,
-                           max_steps=max_steps, engine=engine,
-                           validate=validate)
+                           backend="none", max_steps=max_steps,
+                           engine=engine, validate=validate)
     cells: List[Table1Cell] = []
     for row_name, ftype in ROW_TYPES:
         outcome = run_kernel(kernel, ftype, n, backend="none",
-                             cache=False, max_steps=max_steps,
-                             engine=engine, validate=validate)
+                             max_steps=max_steps, engine=engine,
+                             validate=validate)
         residual = residual_error(outcome.outputs, reference.outputs)
         cells.append(Table1Cell(kernel, row_name, dataset, n, residual))
     return cells

@@ -291,14 +291,11 @@ def render_validation_summary(data: dict) -> str:
 def render_kernel_summary(data: dict) -> str:
     """Kernel telemetry, derived from the ``kernel.*`` counters (jit
     scalar-kernel ops and bind sites, per-call fallbacks to the library
-    by reason, and the batched numpy tier's op/lane/bailout traffic).
-    Empty string when no run bound kernels."""
+    by reason).  Empty string when no run bound kernels."""
     counters = data.get("counters", {})
     ops = int(counters.get("kernel.ops", 0))
     sites = int(counters.get("kernel.sites", 0))
-    np_ops = int(counters.get("kernel.batch_np.ops", 0))
-    np_bailouts = int(counters.get("kernel.batch_np.bailouts", 0))
-    if not ops and not np_ops and not np_bailouts:
+    if not ops:
         return ""
     lines = [f"kernels: {ops} scalar op(s) over {sites} site(s)"]
     fallbacks = {name[len("kernel.fallback."):]: int(value)
@@ -308,11 +305,6 @@ def render_kernel_summary(data: dict) -> str:
         shape = ", ".join(f"{reason}: {count}"
                           for reason, count in sorted(fallbacks.items()))
         lines.append(f"  fallbacks to the library: {shape}")
-    if np_ops or np_bailouts:
-        np_lanes = int(counters.get("kernel.batch_np.lanes", 0))
-        lines.append(f"  batched numpy tier: {np_ops} vector op(s), "
-                     f"{np_lanes} lane-op(s), "
-                     f"{np_bailouts} bailout(s) to the fused loops")
     return "\n".join(lines)
 
 

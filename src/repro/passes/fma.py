@@ -7,7 +7,7 @@ vpfloat (or IEEE) type into a ``vp.fma``/``vp.fms`` call the backends map
 onto those primitives.
 
 Contraction performs ONE rounding instead of two, so results can differ
-from the unfused expression by up to half an ulp -- exactly C's
+from the separately rounded expression by up to half an ulp -- exactly C's
 ``FP_CONTRACT`` semantics.  It is therefore **off by default** and
 enabled with ``CompilerDriver(contract_fma=True)``; every backend and the
 interpreter implement the fused op with identical single-rounding

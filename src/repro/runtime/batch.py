@@ -55,12 +55,6 @@ __all__ = [
     "BatchResult",
 ]
 
-#: Kind <-> uint8 codes for the numpy SoA interchange.
-_KIND_CODES = {Kind.FINITE: 0, Kind.ZERO: 1, Kind.INF: 2, Kind.NAN: 3}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
-#: Code -> Kind lookup list for materializing array-backed lane lists.
-_U64_KINDS = [Kind.FINITE, Kind.ZERO, Kind.INF, Kind.NAN]
-
 
 class BatchDivergence(RuntimeError):
     """Lanes disagreed where lockstep execution needs one answer."""
@@ -68,17 +62,6 @@ class BatchDivergence(RuntimeError):
 
 class BatchUnsupported(RuntimeError):
     """The program used a construct the batched engine cannot run."""
-
-
-def _numpy():
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy is baked in
-        raise RuntimeError(
-            "VPBatch structure-of-arrays interchange requires numpy; "
-            "install it or keep batches in lane-list form"
-        ) from exc
-    return numpy
 
 
 class VPBatch:
@@ -90,78 +73,20 @@ class VPBatch:
     shared.  Treated as immutable: every operation builds fresh lane
     lists, so batches may be shared freely (broadcast NaN templates,
     stored global cells).
-
-    The lane lists are *lazy*: the single-limb numpy kernel tier
-    (:mod:`repro.codegen.batch_np_kernels`) builds batches directly
-    from uint64 result arrays (``_from_u64``) and caches the array
-    form of operand batches in ``_u64``, so chained vectorized ops
-    (a gemm accumulator flowing op to op) never convert to lists and
-    back.  Reading a lane attribute materializes the lists on demand;
-    every existing consumer -- the generic fused-loop kernels, lane
-    extraction, comparisons -- sees the class it always saw.
     """
 
-    __slots__ = ("_kind", "_sign", "_mant", "_exp", "prec", "_u64")
+    __slots__ = ("kind", "sign", "mant", "exp", "prec")
 
     def __init__(self, kind: list, sign: list, mant: list, exp: list,
                  prec: int):
-        self._kind = kind
-        self._sign = sign
-        self._mant = mant
-        self._exp = exp
+        self.kind = kind
+        self.sign = sign
+        self.mant = mant
+        self.exp = exp
         self.prec = prec
-        self._u64 = None
-
-    @classmethod
-    def _from_u64(cls, u64, prec: int) -> "VPBatch":
-        """Array-backed batch: ``u64`` is the numpy-tier lane tuple
-        (kind codes uint8, sign uint8, mant uint64, exp int64, simple
-        flag); the lane lists materialize only if someone asks."""
-        batch = cls.__new__(cls)
-        batch._kind = None
-        batch._sign = None
-        batch._mant = None
-        batch._exp = None
-        batch.prec = prec
-        batch._u64 = u64
-        return batch
-
-    def _materialize(self) -> None:
-        codes, sign, mant, exp = self._u64[:4]
-        kinds = _U64_KINDS
-        self._kind = [kinds[c] for c in codes.tolist()]
-        self._sign = sign.tolist()
-        self._mant = mant.tolist()
-        self._exp = exp.tolist()
-
-    @property
-    def kind(self) -> list:
-        if self._kind is None:
-            self._materialize()
-        return self._kind
-
-    @property
-    def sign(self) -> list:
-        if self._sign is None:
-            self._materialize()
-        return self._sign
-
-    @property
-    def mant(self) -> list:
-        if self._mant is None:
-            self._materialize()
-        return self._mant
-
-    @property
-    def exp(self) -> list:
-        if self._exp is None:
-            self._materialize()
-        return self._exp
 
     def __len__(self) -> int:
-        if self._kind is not None:
-            return len(self._kind)
-        return len(self._u64[0])
+        return len(self.kind)
 
     # -------------------------------------------------------- #
     # Construction / extraction
@@ -229,46 +154,6 @@ class VPBatch:
                 out_e[i] = e
         return VPBatch(list(kinds), list(signs), out_m, out_e, prec)
 
-    # -------------------------------------------------------- #
-    # Structure-of-arrays interchange (numpy)
-    # -------------------------------------------------------- #
-
-    def to_soa(self) -> dict:
-        """Numpy structure-of-arrays view: ``kind``/``sign`` uint8
-        vectors, ``exp`` int64, and a ``(N, words)`` uint64 limb
-        matrix (little-endian 64-bit words of the significand)."""
-        np = _numpy()
-        n = len(self.kind)
-        words = max(1, (self.prec + 63) // 64)
-        kind = np.fromiter((_KIND_CODES[k] for k in self.kind),
-                           dtype=np.uint8, count=n)
-        sign = np.fromiter(self.sign, dtype=np.uint8, count=n)
-        exp = np.fromiter(self.exp, dtype=np.int64, count=n)
-        limbs = np.zeros((n, words), dtype=np.uint64)
-        mask = (1 << 64) - 1
-        for i, mant in enumerate(self.mant):
-            for w in range(words):
-                if not mant:
-                    break
-                limbs[i, w] = mant & mask
-                mant >>= 64
-        return {"kind": kind, "sign": sign, "exp": exp, "limbs": limbs,
-                "prec": self.prec}
-
-    @classmethod
-    def from_soa(cls, soa: dict) -> "VPBatch":
-        limbs = soa["limbs"]
-        n, words = limbs.shape
-        mants = []
-        for i in range(n):
-            mant = 0
-            for w in range(words - 1, -1, -1):
-                mant = (mant << 64) | int(limbs[i, w])
-            mants.append(mant)
-        return cls([_CODE_KINDS[int(code)] for code in soa["kind"]],
-                   [int(s) for s in soa["sign"]], mants,
-                   [int(e) for e in soa["exp"]], int(soa["prec"]))
-
     def __repr__(self) -> str:
         return (f"<VPBatch lanes={len(self.kind)} prec={self.prec}>")
 
@@ -280,7 +165,6 @@ class BatchContext:
 
     __slots__ = ("lanes", "ops", "fast_lanes", "scalar_fallbacks",
                  "occupancy", "divergences", "serial_fallback_lanes",
-                 "np_ops", "np_lanes", "np_bailouts",
                  "_nan_cache")
 
     def __init__(self, lanes: int):
@@ -293,11 +177,6 @@ class BatchContext:
         self.occupancy: Dict[int, int] = {}
         self.divergences = 0
         self.serial_fallback_lanes = 0
-        #: Numpy-tier counters (ops/lanes served, per-call eligibility
-        #: bailouts).
-        self.np_ops = 0
-        self.np_lanes = 0
-        self.np_bailouts = 0
         self._nan_cache: Dict[int, VPBatch] = {}
 
     def note(self, n: int, slow: int) -> None:
@@ -333,12 +212,6 @@ class BatchContext:
         if self.serial_fallback_lanes:
             registry.inc("batch.serial_fallback_lanes",
                          self.serial_fallback_lanes)
-        if self.np_ops:
-            registry.inc("kernel.batch_np.ops", self.np_ops)
-            registry.inc("kernel.batch_np.lanes", self.np_lanes)
-        if self.np_bailouts:
-            registry.inc("kernel.batch_np.bailouts",
-                         self.np_bailouts)
         registry.observe("batch.size", self.lanes)
         for occ, count in self.occupancy.items():
             registry.observe("batch.occupancy", occ, count)
@@ -382,9 +255,8 @@ class BatchMpfrLibrary(MpfrLibrary):
         key = (op, prec, rm, exp_bits)
         kernel = self._kernels.get(key)
         if kernel is None:
-            from ..codegen.batch_kernels import select_batch_kernel
-            kernel = select_batch_kernel(op, prec, rm, exp_bits,
-                                         self.ctx)
+            from ..codegen.batch_kernels import batch_kernel_factory
+            kernel = batch_kernel_factory(op, prec, rm, exp_bits)(self.ctx)
             self._kernels[key] = kernel
         return kernel
 

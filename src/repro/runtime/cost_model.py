@@ -297,10 +297,9 @@ class CostReport:
 class CostAccounting:
     """Mutable accounting shared by the interpreter and runtime libs."""
 
-    def __init__(self, costs: Optional[CycleCosts] = None,
-                 cache: Optional[CacheModel] = None):
+    def __init__(self, costs: Optional[CycleCosts] = None):
         self.costs = costs or CycleCosts()
-        self.cache = cache if cache is not None else CacheModel()
+        self.cache = CacheModel()
         self.report = CostReport()
         self._parallel_depth = 0
         self._parallel_start_cycles = 0
@@ -316,8 +315,6 @@ class CostAccounting:
         self.report.instructions += 1
 
     def memory_access(self, kind: str, addr: int, nbytes: int) -> None:
-        if self.cache is None:
-            return
         before = self.cache.access_cycles
         self.cache.access(kind, addr, nbytes)
         self.report.cycles += self.cache.access_cycles - before
@@ -327,8 +324,7 @@ class CostAccounting:
     def parallel_begin(self) -> None:
         if self._parallel_depth == 0:
             self._parallel_start_cycles = self.report.cycles
-            self._parallel_start_dram = (self.cache.dram_bytes
-                                         if self.cache else 0)
+            self._parallel_start_dram = self.cache.dram_bytes
             self._parallel_start_allocs = self.report.heap_allocations
         self._parallel_depth += 1
 
@@ -337,10 +333,9 @@ class CostAccounting:
         if self._parallel_depth == 0:
             region = self.report.cycles - self._parallel_start_cycles
             self.report.parallel_cycles += region
-            if self.cache is not None:
-                self.report.parallel_dram_bytes += (
-                    self.cache.dram_bytes - self._parallel_start_dram
-                )
+            self.report.parallel_dram_bytes += (
+                self.cache.dram_bytes - self._parallel_start_dram
+            )
             self.report.parallel_heap_allocations += (
                 self.report.heap_allocations - self._parallel_start_allocs
             )
@@ -349,10 +344,9 @@ class CostAccounting:
     # -------------------------------------------------------- #
 
     def finalize(self, memory=None) -> CostReport:
-        if self.cache is not None:
-            self.report.cache_hits = tuple(self.cache.hits)
-            self.report.llc_misses = self.cache.llc_misses()
-            self.report.dram_bytes = self.cache.dram_bytes
+        self.report.cache_hits = tuple(self.cache.hits)
+        self.report.llc_misses = self.cache.llc_misses()
+        self.report.dram_bytes = self.cache.dram_bytes
         if memory is not None:
             self.report.bytes_read = memory.bytes_read
             self.report.bytes_written = memory.bytes_written

@@ -15,31 +15,13 @@ function: :class:`FunctionCompiler` turns every basic block into a
 - ``phi_moves``: per-predecessor staged phi assignments, so the block
   header does no list comprehension over ``block.phis()`` per execution.
 
-With ``fuse=True`` (the interpreter's default ``"fast"`` mode) the
-compiler additionally peephole-fuses the dominant adjacent pairs into
-single *superinstruction* closures at table-build time:
-
-- ``load`` feeding an adjacent binary op (the loaded value skips the
-  frame dict when the binary is its only user);
-- a binary op feeding an adjacent ``store`` of its result;
-- a comparison feeding the block's conditional branch (the i1 skips
-  the frame dict when the branch is its only user).
-
-Fusion never crosses a block boundary and only pairs *adjacent*
-instructions, so no operand can be redefined between producer and
-consumer; multi-user producers keep their frame write.  Per-block
-instruction counts (``count``/``tally``) are computed before fusion, so
-step limits, ``report.instructions`` and profiles are unchanged.
-
 Compilation must not change observable semantics relative to the legacy
 path: the same cycles are charged to the same categories in the same
 order, the same memory traffic reaches the cache model, and runtime
 errors (attribute validation, unknown builtins, execution limits) are
-still raised at execution time, not at compile time.  Fused pairs charge
-the identical cycle categories in the identical order as the unfused
-sequence, so the cost model stays bit-for-bit.  Anything the compiler
-cannot prove static falls back to the interpreter's legacy helper for
-that one instruction.
+still raised at execution time, not at compile time.  Anything the
+compiler cannot prove static falls back to the interpreter's legacy
+helper for that one instruction.
 
 This module is also the per-function fallback target of the ``"jit"``
 engine (:mod:`repro.codegen.pyjit`): a function the source generator
@@ -150,19 +132,15 @@ class CompiledFunction:
 
 
 class FunctionCompiler:
-    """Compiles one function's blocks into closure tables.
+    """Compiles one function's blocks into closure tables, one closure
+    per instruction."""
 
-    ``fuse`` enables superinstruction fusion (see the module docstring);
-    with it off the tables are a 1:1 instruction-to-closure mapping.
-    """
-
-    def __init__(self, interp, fuse: bool = False) -> None:
+    def __init__(self, interp) -> None:
         # Imported here (not at module scope) to avoid a circular import
         # with .interpreter, which imports this module at load time.
         from .interpreter import VPRuntimeError, _f32, _mask_int
 
         self.interp = interp
-        self.fuse = fuse
         self._vpr = VPRuntimeError
         self._f32 = _f32
         self._mask = _mask_int
@@ -194,152 +172,18 @@ class FunctionCompiler:
                 else:
                     body.append(inst)
             cb.tally = sorted(tally.items())
-            fused_cmp = None
-            if (self.fuse and body and term_inst is not None
-                    and isinstance(term_inst, BranchInst)
-                    and term_inst.is_conditional
-                    and isinstance(body[-1], (ICmpInst, FCmpInst))
-                    and term_inst.condition is body[-1]):
-                fused_cmp = body.pop()
-            cb.steps = self._compile_steps(body)
+            cb.steps = [self._compile_step(inst) for inst in body]
             if term_inst is None:
                 cb.terminator = self._fell_off_end(block.name)
-            elif fused_cmp is not None:
-                cb.terminator = self._fuse_cmp_branch(fused_cmp, term_inst,
-                                                      blocks)
             else:
                 cb.terminator = self._compile_terminator(term_inst, blocks)
         return CompiledFunction(blocks[id(func.entry)], blocks)
-
-    def _compile_steps(self, body: List) -> List[Callable]:
-        steps: List[Callable] = []
-        i, n = 0, len(body)
-        fuse = self.fuse
-        while i < n:
-            if fuse and i + 1 < n:
-                fused = self._try_fuse(body[i], body[i + 1])
-                if fused is not None:
-                    steps.append(fused)
-                    i += 2
-                    continue
-            steps.append(self._compile_step(body[i]))
-            i += 1
-        return steps
 
     def _fell_off_end(self, name: str) -> Callable:
         vpr = self._vpr
 
         def term(frame):
             raise vpr(f"block {name} fell off the end")
-
-        return term
-
-    # ------------------------------------------------------------ #
-    # Superinstruction fusion
-    # ------------------------------------------------------------ #
-
-    def _try_fuse(self, a, b) -> Optional[Callable]:
-        """Fused closure for the adjacent pair (a, b), or None."""
-        if isinstance(a, LoadInst) and isinstance(b, BinaryInst) \
-                and (b.lhs is a or b.rhs is a):
-            return self._fuse_load_binary(a, b)
-        if isinstance(a, BinaryInst) and isinstance(b, StoreInst) \
-                and b.value is a:
-            return self._fuse_binary_store(a, b)
-        return None
-
-    def _fuse_load_binary(self, load: LoadInst,
-                          binary: BinaryInst) -> Callable:
-        if len(load.users) > 1:
-            # The loaded value has other readers (or feeds both operand
-            # slots): keep the frame write and just glue the two
-            # existing steps into one superinstruction.
-            first = self._compile_load(load)
-            second = self._compile_step(binary)
-
-            def step(frame):
-                first(frame)
-                second(frame)
-
-            return step
-        # Single user: route the loaded value through a box cell instead
-        # of the frame dict.  The box is written and consumed within one
-        # step invocation, so reuse across iterations cannot go stale.
-        load_value = self._load_value(load)
-        box: List = [None]
-
-        def inject(frame):
-            return box[0]
-
-        ga = inject if binary.lhs is load else self._getter(binary.lhs)
-        gb = inject if binary.rhs is load else self._getter(binary.rhs)
-        compute = self._binary_value(binary, ga, gb)
-        bid = id(binary)
-
-        def step(frame):
-            box[0] = load_value(frame)
-            frame.values[bid] = compute(frame)
-
-        return step
-
-    def _fuse_binary_store(self, binary: BinaryInst,
-                           store: StoreInst) -> Callable:
-        interp = self.interp
-        compute = self._binary_value(binary, self._getter(binary.lhs),
-                                     self._getter(binary.rhs))
-        bid = id(binary)
-        write_through = len(binary.users) > 1
-        gp = self._getter(store.pointer)
-        do_store = interp.memory.store
-        type_ = store.value.type
-        nbytes = self._static_sizeof(type_)
-        if nbytes is not None:
-            if write_through:
-                def step(frame):
-                    value = compute(frame)
-                    frame.values[bid] = value
-                    do_store(int(gp(frame)), value, nbytes)
-            else:
-                def step(frame):
-                    value = compute(frame)
-                    do_store(int(gp(frame)), value, nbytes)
-        else:
-            if write_through:
-                def step(frame):
-                    value = compute(frame)
-                    frame.values[bid] = value
-                    do_store(int(gp(frame)), value,
-                             interp._sizeof(type_, frame))
-            else:
-                def step(frame):
-                    value = compute(frame)
-                    do_store(int(gp(frame)), value,
-                             interp._sizeof(type_, frame))
-
-        return step
-
-    def _fuse_cmp_branch(self, cmp_inst, br: BranchInst,
-                         blocks) -> Callable:
-        interp = self.interp
-        value = (self._icmp_value(cmp_inst)
-                 if isinstance(cmp_inst, ICmpInst)
-                 else self._fcmp_value(cmp_inst))
-        charge = interp.accounting.report.charge
-        branch_cost = interp.accounting.costs.branch
-        then_block = blocks[id(br.targets[0])]
-        else_block = blocks[id(br.targets[1])]
-        cid = id(cmp_inst)
-        if len(cmp_inst.users) > 1:
-            def term(frame):
-                result = value(frame)
-                frame.values[cid] = result
-                charge("branch", branch_cost)
-                return then_block if result else else_block
-        else:
-            def term(frame):
-                result = value(frame)
-                charge("branch", branch_cost)
-                return then_block if result else else_block
 
         return term
 
@@ -494,31 +338,17 @@ class FunctionCompiler:
 
     # ---- binaries ------------------------------------------------ #
     #
-    # Each binary kind has a *value* factory (closure(frame) -> result,
-    # charging exactly what the legacy path charges, in the same order)
-    # so fused superinstructions can reuse the arithmetic with operand
-    # getters swapped out; _compile_binary wraps it with the frame write.
+    # Each step charges exactly what the legacy path charges, in the
+    # same order, before writing its result to the frame.
 
     def _compile_binary(self, inst: BinaryInst) -> Callable:
-        value = self._binary_value(inst, self._getter(inst.lhs),
-                                   self._getter(inst.rhs))
-        iid = id(inst)
-
-        def step(frame):
-            frame.values[iid] = value(frame)
-
-        return step
-
-    def _binary_value(self, inst: BinaryInst, ga: Callable,
-                      gb: Callable) -> Callable:
         if inst.type.is_vpfloat:
-            return self._vp_binary_value(inst, ga, gb)
+            return self._compile_vp_binary(inst)
         if inst.type.is_float:
-            return self._float_binary_value(inst, ga, gb)
-        return self._int_binary_value(inst, ga, gb)
+            return self._compile_float_binary(inst)
+        return self._compile_int_binary(inst)
 
-    def _vp_binary_value(self, inst: BinaryInst, ga: Callable,
-                         gb: Callable) -> Callable:
+    def _compile_vp_binary(self, inst: BinaryInst) -> Callable:
         interp = self.interp
         kernel = _VP_KERNELS.get(inst.opcode)
         if kernel is None:
@@ -529,6 +359,9 @@ class FunctionCompiler:
                 raise vpr(f"{op} unsupported on vpfloat")
 
             return bad
+        ga = self._getter(inst.lhs)
+        gb = self._getter(inst.rhs)
+        iid = id(inst)
         vptype = inst.type
         resolve = self._vp_resolver(vptype)
         as_big = interp._as_bigfloat
@@ -537,36 +370,37 @@ class FunctionCompiler:
         if vptype.format == "posit":
             posit_round = interp._posit_round
 
-            def value(frame):
+            def step(frame):
                 prec = resolve(frame)[0]
                 work = prec + 8
                 a = as_big(ga(frame), work)
                 b = as_big(gb(frame), work)
                 charge("vpfloat_native", unit * max(1, prec // 64))
-                return posit_round(kernel(a, b, work, RNDN), vptype, frame)
+                frame.values[iid] = posit_round(kernel(a, b, work, RNDN),
+                                                vptype, frame)
 
         elif vptype.format == "mpfr":
             clamp = self._clamp_closure(vptype)
 
-            def value(frame):
+            def step(frame):
                 prec = resolve(frame)[0]
                 a = as_big(ga(frame), prec)
                 b = as_big(gb(frame), prec)
                 charge("vpfloat_native", unit * max(1, prec // 64))
-                return clamp(kernel(a, b, prec, RNDN), frame)
+                frame.values[iid] = clamp(kernel(a, b, prec, RNDN), frame)
 
         else:  # unum: exact intermediate, no per-op re-encoding
 
-            def value(frame):
+            def step(frame):
                 prec = resolve(frame)[0]
                 a = as_big(ga(frame), prec)
                 b = as_big(gb(frame), prec)
                 charge("vpfloat_native", unit * max(1, prec // 64))
-                return kernel(a, b, prec, RNDN)
+                frame.values[iid] = kernel(a, b, prec, RNDN)
 
         registry = interp.metrics
         if registry is None:
-            return value
+            return step
         # Precision telemetry wrap, built only when a registry is
         # installed: the untraced closure above stays branch-free.
         observe = registry.observe
@@ -574,15 +408,15 @@ class FunctionCompiler:
         bits_key = f"precision.op.{inst.opcode}.bits"
         rounding_key = "precision.rounding." + RNDN.value
         guard_bits = 8 if vptype.format == "posit" else 0
-        plain_value = value
+        plain_step = step
 
-        def value(frame):
+        def step(frame):
             observe(bits_key, resolve(frame)[0])
             observe("precision.guard_bits", guard_bits)
             inc(rounding_key)
-            return plain_value(frame)
+            plain_step(frame)
 
-        return value
+        return step
 
     def _clamp_closure(self, vptype: VPFloatType) -> Callable:
         """Exponent-range clamp bound to the type's *exp-info* attribute.
@@ -620,9 +454,11 @@ class FunctionCompiler:
 
         return clamp
 
-    def _float_binary_value(self, inst: BinaryInst, ga: Callable,
-                            gb: Callable) -> Callable:
+    def _compile_float_binary(self, inst: BinaryInst) -> Callable:
         interp = self.interp
+        ga = self._getter(inst.lhs)
+        gb = self._getter(inst.rhs)
+        iid = id(inst)
         charge = interp.accounting.report.charge
         costs = interp.accounting.costs
         op = inst.opcode
@@ -654,21 +490,23 @@ class FunctionCompiler:
                 return math.copysign(math.inf, a) if a != 0.0 else math.nan
 
         if narrow:
-            def value(frame):
+            def step(frame):
                 result = compute(ga(frame), gb(frame))
                 charge("f64", cost)
-                return f32(result)
+                frame.values[iid] = f32(result)
         else:
-            def value(frame):
+            def step(frame):
                 result = compute(ga(frame), gb(frame))
                 charge("f64", cost)
-                return result
+                frame.values[iid] = result
 
-        return value
+        return step
 
-    def _int_binary_value(self, inst: BinaryInst, ga: Callable,
-                          gb: Callable) -> Callable:
+    def _compile_int_binary(self, inst: BinaryInst) -> Callable:
         interp = self.interp
+        ga = self._getter(inst.lhs)
+        gb = self._getter(inst.rhs)
+        iid = id(inst)
         charge = interp.accounting.report.charge
         int_cost = interp.accounting.costs.int_op
         bits = inst.type.bits
@@ -727,25 +565,17 @@ class FunctionCompiler:
             def compute(a, b):
                 raise vpr(f"unknown integer op {op}")
 
-        def value(frame):
+        def step(frame):
             charge("int", int_cost)
-            return mask(compute(ga(frame), gb(frame)), bits)
+            frame.values[iid] = mask(compute(ga(frame), gb(frame)), bits)
 
-        return value
+        return step
 
     # ---- memory -------------------------------------------------- #
 
     def _compile_load(self, inst: LoadInst) -> Callable:
-        value = self._load_value(inst)
-        iid = id(inst)
-
-        def step(frame):
-            frame.values[iid] = value(frame)
-
-        return step
-
-    def _load_value(self, inst: LoadInst) -> Callable:
         interp = self.interp
+        iid = id(inst)
         gp = self._getter(inst.pointer)
         load = interp.memory.load
         type_ = inst.type
@@ -753,15 +583,15 @@ class FunctionCompiler:
         if nbytes is not None:
             default = interp._default(type_, None)
 
-            def value(frame):
-                return load(int(gp(frame)), nbytes, default)
+            def step(frame):
+                frame.values[iid] = load(int(gp(frame)), nbytes, default)
         else:
-            def value(frame):
+            def step(frame):
                 n = interp._sizeof(type_, frame)
                 default = interp._default(type_, frame)
-                return load(int(gp(frame)), n, default)
+                frame.values[iid] = load(int(gp(frame)), n, default)
 
-        return value
+        return step
 
     def _compile_store(self, inst: StoreInst) -> Callable:
         interp = self.interp
@@ -884,16 +714,8 @@ class FunctionCompiler:
     # ---- comparisons, casts, misc -------------------------------- #
 
     def _compile_icmp(self, inst: ICmpInst) -> Callable:
-        value = self._icmp_value(inst)
-        iid = id(inst)
-
-        def step(frame):
-            frame.values[iid] = value(frame)
-
-        return step
-
-    def _icmp_value(self, inst: ICmpInst) -> Callable:
         interp = self.interp
+        iid = id(inst)
         ga = self._getter(inst.operands[0])
         gb = self._getter(inst.operands[1])
         charge = interp.accounting.report.charge
@@ -933,24 +755,16 @@ class FunctionCompiler:
             def test(a, b):
                 return (a & umask) >= (b & umask)
 
-        def value(frame):
+        def step(frame):
             result = 1 if test(ga(frame), gb(frame)) else 0
             charge("icmp", int_cost)
-            return result
-
-        return value
-
-    def _compile_fcmp(self, inst: FCmpInst) -> Callable:
-        value = self._fcmp_value(inst)
-        iid = id(inst)
-
-        def step(frame):
-            frame.values[iid] = value(frame)
+            frame.values[iid] = result
 
         return step
 
-    def _fcmp_value(self, inst: FCmpInst) -> Callable:
+    def _compile_fcmp(self, inst: FCmpInst) -> Callable:
         interp = self.interp
+        iid = id(inst)
         ga = self._getter(inst.operands[0])
         gb = self._getter(inst.operands[1])
         charge = interp.accounting.report.charge
@@ -958,12 +772,12 @@ class FunctionCompiler:
         pred = inst.predicate
         fcmp_values = interp._fcmp_values
 
-        def value(frame):
+        def step(frame):
             result = fcmp_values(ga(frame), gb(frame), pred)
             charge("fcmp", cost)
-            return result
+            frame.values[iid] = result
 
-        return value
+        return step
 
     def _compile_cast(self, inst: CastInst) -> Callable:
         interp = self.interp

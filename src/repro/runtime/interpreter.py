@@ -142,13 +142,11 @@ class Interpreter:
     ``dispatch`` selects the execution engine: ``"jit"`` compiles each
     IR function to straight-line Python source on first call
     (:mod:`repro.codegen.pyjit`), with per-function fallback to the
-    fused closure tables for anything the emitter cannot prove static;
+    closure tables for anything the emitter cannot prove static;
     ``"fast"`` (default) compiles each function's blocks to closure
-    tables on first call (:mod:`repro.runtime.dispatch`) with
-    superinstruction fusion of adjacent load+arith / arith+store /
-    cmp+branch pairs; ``"unfused"`` uses the same closure tables
-    without fusion; ``"legacy"`` walks the original per-instruction
-    isinstance chain.  All four charge identical cycles.
+    tables on first call (:mod:`repro.runtime.dispatch`); ``"legacy"``
+    walks the original per-instruction isinstance chain.  All three
+    charge identical cycles.
 
     ``mpfr_pool`` enables the runtime free-list in the backing
     :class:`~repro.bigfloat.MpfrLibrary`: ``mpfr_clear`` parks handles
@@ -170,10 +168,10 @@ class Interpreter:
                  mpfr_pool: bool = False,
                  pool_limit: int = 1024,
                  codegen_store=None):
-        if dispatch not in ("jit", "fast", "unfused", "legacy"):
+        if dispatch not in ("jit", "fast", "legacy"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.module = module
-        self.accounting = accounting or CostAccounting(cache=None)
+        self.accounting = accounting or CostAccounting()
         self.memory = Memory(observer=self.accounting.memory_access)
         self.mpfr = mpfr_library or MpfrLibrary(pool=mpfr_pool,
                                                 pool_limit=pool_limit)
@@ -458,7 +456,7 @@ class Interpreter:
                 finally:
                     self._block_counts = previous
             elif self.dispatch != "legacy":
-                value = self._call_compiled_counting(func, args, counts)
+                value = self._call_compiled(func, args, counts)
             else:
                 value = self._call_legacy(func, args, counts)
             span.args["cycles"] = report.cycles - cycles0
@@ -470,13 +468,17 @@ class Interpreter:
                 ]
         return value
 
-    def _call_compiled(self, func: Function, args: List[object]) -> object:
+    def _call_compiled(self, func: Function, args: List[object],
+                       block_counts: Optional[Dict[str, int]] = None
+                       ) -> object:
         """Fast-path execution over precompiled closure tables.
 
         Instruction and step counters advance in block-sized strides, so
         the execution-limit check may trip up to one block earlier than
         the legacy per-instruction check; everything else (values,
         cycles, memory traffic, error behavior) is identical.
+        ``block_counts`` (traced calls only) collects per-block
+        execution counts for hot-block span attribution.
         """
         compiled = self._compiled_functions.get(id(func))
         if compiled is None:
@@ -500,6 +502,9 @@ class Interpreter:
                 staged = [(key, getter(frame)) for key, getter in moves]
                 for key, value in staged:
                     values[key] = value
+            if block_counts is not None:
+                block_counts[block.name] = \
+                    block_counts.get(block.name, 0) + 1
             count = block.count
             self.steps += count
             if self.steps > max_steps:
@@ -521,10 +526,7 @@ class Interpreter:
 
     def _compile_function(self, func: Function) -> CompiledFunction:
         if self._compiler is None:
-            # jit fallback functions execute on the fused tables: the
-            # closure engine's fastest configuration.
-            self._compiler = FunctionCompiler(
-                self, fuse=(self.dispatch in ("fast", "jit")))
+            self._compiler = FunctionCompiler(self)
         compiled = self._compiler.compile(func)
         self._compiled_functions[id(func)] = compiled
         return compiled
@@ -539,53 +541,6 @@ class Interpreter:
             engine = JitEngine(self, self._codegen_store)
             self._jit_engine = engine
         return engine.entry(func)
-
-    def _call_compiled_counting(self, func: Function, args: List[object],
-                                block_counts: Dict[str, int]) -> object:
-        """Tracing twin of :meth:`_call_compiled`: identical charging
-        and semantics, plus per-block execution counts for hot-block
-        span attribution.  Kept separate so the untraced fast path
-        carries no per-block branch."""
-        compiled = self._compiled_functions.get(id(func))
-        if compiled is None:
-            compiled = self._compile_function(func)
-        costs = self.accounting.costs
-        self.accounting.charge("call", costs.call_overhead)
-        mark = self.memory.stack_mark()
-        frame = Frame(func, mark)
-        values = frame.values
-        for arg, value in zip(func.args, args):
-            values[id(arg)] = value
-        report = self.accounting.report
-        max_steps = self.max_steps
-        profile = self.profile
-        block = compiled.entry
-        prev = None
-        while True:
-            moves = block.phi_moves.get(prev)
-            if moves is not None:
-                staged = [(key, getter(frame)) for key, getter in moves]
-                for key, value in staged:
-                    values[key] = value
-            block_counts[block.name] = block_counts.get(block.name, 0) + 1
-            count = block.count
-            self.steps += count
-            if self.steps > max_steps:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_steps} interpreted instructions"
-                )
-            report.instructions += count
-            if profile is not None:
-                profile.count_block(block.tally)
-            for step in block.steps:
-                step(frame)
-            outcome = block.terminator(frame)
-            if outcome.__class__ is tuple:
-                self.memory.stack_release(mark)
-                self.accounting.charge("ret", costs.ret)
-                return outcome[1]
-            prev = block.bid
-            block = outcome
 
     def _run_block(self, block, frame: Frame):
         profile = self.profile
@@ -1306,19 +1261,15 @@ class Interpreter:
         cache_model = self.accounting.cache
         limb_bytes_cache: dict = {}
 
-        if cache_model is not None:
-            def touch_limbs(var, kind):
-                prec = var.prec
-                nbytes = limb_bytes_cache.get(prec)
-                if nbytes is None:
-                    nbytes = bigfloat.limb_bytes(prec)
-                    limb_bytes_cache[prec] = nbytes
-                before = cache_model.access_cycles
-                cache_model.access(kind, var.limb_addr, nbytes)
-                report.cycles += cache_model.access_cycles - before
-        else:
-            def touch_limbs(var, kind):
-                return None
+        def touch_limbs(var, kind):
+            prec = var.prec
+            nbytes = limb_bytes_cache.get(prec)
+            if nbytes is None:
+                nbytes = bigfloat.limb_bytes(prec)
+                limb_bytes_cache[prec] = nbytes
+            before = cache_model.access_cycles
+            cache_model.access(kind, var.limb_addr, nbytes)
+            report.cycles += cache_model.access_cycles - before
 
         # Handlers bind the MpfrLibrary method once at install time (no
         # per-call getattr), memoize per-(name, prec) cycle costs, and

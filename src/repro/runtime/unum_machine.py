@@ -56,7 +56,7 @@ class UnumMachine:
                  coprocessor: Optional[UnumCoprocessor] = None,
                  max_steps: int = 500_000_000):
         self.asm = asm
-        self.accounting = accounting or CostAccounting(cache=None)
+        self.accounting = accounting or CostAccounting()
         self.memory = Memory(observer=self.accounting.memory_access)
         self.coprocessor = coprocessor or UnumCoprocessor(wgp=128)
         self.adapter = _CoprocessorMemoryAdapter(self.memory)

@@ -14,7 +14,7 @@ independent differentials:
   modes**; results must be bit-identical BigFloats.
 * :func:`cross_check_engines` -- render the program to dialect source,
   compile it through the real frontend/optimizer, and execute it across
-  backends (none/mpfr/boost), optimization levels (-O0/-O3), all four
+  backends (none/mpfr/boost), optimization levels (-O0/-O3), all three
   execution engines, and the pool toggle; the returned doubles must be
   bit-identical.
 
@@ -310,7 +310,6 @@ ENGINE_CONFIGS: Tuple[Tuple[str, str, int, Optional[str],
     ("none.O3.legacy", "none", 3, "legacy", None),
     ("mpfr.O3.jit", "mpfr", 3, "jit", None),
     ("mpfr.O3.fast", "mpfr", 3, "fast", None),
-    ("mpfr.O3.unfused", "mpfr", 3, "unfused", None),
     ("mpfr.O3.legacy", "mpfr", 3, "legacy", None),
     ("mpfr.O3.jit.no-pool", "mpfr", 3, "jit", False),
     ("boost.O3.fast", "boost", 3, "fast", None),
@@ -328,8 +327,7 @@ def cross_check_engines(program: FuzzProgram,
     for label, backend, opt_level, engine, pool in configs:
         compiled = compile_source(source, backend=backend,
                                   opt_level=opt_level, engine=engine)
-        value = compiled.run("f", [], cache=False, engine=engine,
-                             pool=pool).value
+        value = compiled.run("f", [], engine=engine, pool=pool).value
         token = value_token(value)
         if reference is None:
             reference = token
@@ -363,11 +361,11 @@ def cross_check_batched(program: FuzzProgram,
     source = program.render_source()
     compiled = compile_source(source, backend="mpfr", opt_level=3,
                               engine="jit")
-    serial = compiled.run("f", [], cache=False, engine="jit")
+    serial = compiled.run("f", [], engine="jit")
     reference = value_token(serial.value)
     reference_report = report_snapshot(serial.report)
     for n in lanes:
-        batch = compiled.run_batch("f", [], lanes=n, cache=False)
+        batch = compiled.run_batch("f", [], lanes=n)
         for i in range(n):
             token = value_token(batch.values[i])
             if token != reference:

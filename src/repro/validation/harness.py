@@ -5,7 +5,7 @@ configuration and a set of *candidate* configurations, then assemble a
 :class:`~repro.validation.certificate.Certificate`:
 
 * :func:`validate_engines` -- the engine transitions (legacy <-> the
-  fused/unfused closure tables <-> the specializing jit) plus the MPFR
+  closure tables <-> the specializing jit) plus the MPFR
   pool toggle, under the ``exact`` / ``traffic`` report invariants.
 * :func:`validate_passes` -- the pass transitions (-O0 vs -O3 and each
   -O3 pipeline switch), value-equivalence with ``sane`` report checks.

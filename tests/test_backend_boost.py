@@ -66,7 +66,7 @@ class TestTemporaryChurn:
 
     def test_lifetimes_balance(self):
         program = compile_source(AXPY + DRIVER, backend="boost")
-        interp = program.interpreter(cache=False)
+        interp = program.interpreter()
         interp.run("drive", [16])
         stats = interp.mpfr.stats
         # Statement temporaries balance exactly; named values hoisted to

@@ -67,7 +67,7 @@ class TestLoweringStructure:
         """
         program = compile_source(source, backend="mpfr")
         for arg in (0, 1):
-            interp = program.interpreter(cache=False)
+            interp = program.interpreter()
             interp.run("f", [arg])
             assert interp.mpfr.live_objects == 0
 
@@ -183,7 +183,7 @@ class TestObjectReuse:
 
     def _init_count(self, **kwargs):
         program = compile_source(self.SOURCE, backend="mpfr", **kwargs)
-        interp = program.interpreter(cache=False)
+        interp = program.interpreter()
         base = interp.memory.alloc_heap(80)
         for i in range(10):
             interp.memory.store(base + 8 * i, float(i), 8)

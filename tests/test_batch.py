@@ -172,19 +172,6 @@ class TestVPBatch:
         assert _token(rounded.lane(1)) == _token(
             batch.lane(1).round_to(24))
 
-    def test_soa_round_trip(self):
-        numpy = pytest.importorskip("numpy")
-        lanes = [BigFloat.from_float(x, 192)
-                 for x in (1.5, -0.25, 3e10, 0.0)]
-        lanes[-1] = BigFloat.nan(192)
-        batch = VPBatch.from_lanes(lanes)
-        soa = batch.to_soa()
-        assert soa["limbs"].shape == (4, 3)  # 192 bits -> 3 limbs
-        assert soa["limbs"].dtype == numpy.uint64
-        back = VPBatch.from_soa(soa)
-        assert [_token(v) for v in back.lanes()] == \
-            [_token(v) for v in batch.lanes()]
-
     def test_lane_view_passthrough(self):
         assert lane_view(7, 1) == 7
         batch = VPBatch.from_lanes([BigFloat.from_float(1.0, 64),

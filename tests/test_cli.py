@@ -95,6 +95,12 @@ class TestDiagnostics:
         with pytest.raises(SystemExit):
             main([source_file, "--run", "run", "--args", "abc"])
 
+    def test_unfused_engine_rejected(self, source_file):
+        with pytest.raises(SystemExit) as exc:
+            main([source_file, "--run", "run", "--args", "4",
+                  "--engine", "unfused"])
+        assert exc.value.code == 2
+
     def test_emit_asm_requires_unum(self, source_file, capsys):
         assert main([source_file, "--emit-asm"]) == 1
         assert "--backend unum" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from repro.runtime import VPRuntimeError
 
 def run(source, fn="main", args=None, backend="none", **kwargs):
     program = compile_source(source, backend=backend, **kwargs)
-    return program.run(fn, args or [], cache=False)
+    return program.run(fn, args or [])
 
 
 class TestScalarPrograms:
@@ -217,7 +217,7 @@ class TestVPFloatPrograms:
         }
         """
         program = compile_source(source, backend="none")
-        interp = program.interpreter(cache=False)
+        interp = program.interpreter()
         base = interp.memory.alloc_heap(64)
         for i in range(8):
             interp.memory.store(base + 8 * i, float(i), 8)
@@ -304,7 +304,7 @@ class TestBackendsAgree:
         # pool=False: this checks the *lowering's* init/clear balance,
         # so every clear must actually free (not park on the free list).
         program = compile_source(self.SOURCE, backend="mpfr")
-        interp = program.interpreter(cache=False, pool=False)
+        interp = program.interpreter(pool=False)
         interp.run("f", [16])
         stats = interp.mpfr.stats
         assert stats.inits == stats.clears
@@ -314,7 +314,7 @@ class TestBackendsAgree:
         """With the runtime pool on, the *call* balance still holds and
         no object stays logically alive; clears park instead of free."""
         program = compile_source(self.SOURCE, backend="mpfr")
-        interp = program.interpreter(cache=False, pool=True)
+        interp = program.interpreter(pool=True)
         interp.run("f", [16])
         stats = interp.mpfr.stats
         assert stats.by_name["mpfr_init2"] == stats.by_name["mpfr_clear"]
@@ -340,7 +340,7 @@ class TestVPFloatGlobals:
         values = {}
         for backend in ("none", "mpfr", "boost"):
             program = compile_source(self.SOURCE, backend=backend)
-            interp = program.interpreter(cache=False)
+            interp = program.interpreter()
             first = interp.run("f", [4]).value
             second = interp.run("f", [4]).value  # sees the mutation
             values[backend] = (first, second)
@@ -350,4 +350,4 @@ class TestVPFloatGlobals:
     def test_unum_global(self):
         source = self.SOURCE.replace("mpfr, 16, 128", "unum, 4, 7")
         program = compile_source(source, backend="none")
-        assert program.run("f", [4], cache=False).value == 10.0
+        assert program.run("f", [4]).value == 10.0

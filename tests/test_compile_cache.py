@@ -153,6 +153,16 @@ class TestDriverIntegration:
         driver = CompilerDriver(backend="mpfr", cache=None)
         assert driver.compile(SOURCE) is not driver.compile(SOURCE)
 
+    def test_run_kernel_compile_cache_false_means_none(self):
+        from repro.evaluation.harness import run_kernel
+
+        assert CompilerDriver(backend="mpfr", cache=False).cache is None
+        uncached = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 4,
+                              backend="mpfr", compile_cache=False)
+        reference = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 4,
+                               backend="mpfr", compile_cache=None)
+        assert uncached.report.cycles == reference.report.cycles
+
     def test_cross_driver_disk_sharing(self, tmp_path):
         CompilerDriver(backend="mpfr",
                        cache=tmp_path / "c").compile(SOURCE)

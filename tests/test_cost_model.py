@@ -127,7 +127,7 @@ class TestParallelModel:
 
 class TestAccounting:
     def test_parallel_region_tracking(self):
-        acc = CostAccounting(cache=None)
+        acc = CostAccounting()
         acc.charge("setup", 100)
         acc.parallel_begin()
         acc.charge("work", 500)
@@ -140,7 +140,7 @@ class TestAccounting:
         assert report.serial_cycles == report.cycles - 500
 
     def test_nested_regions_counted_once(self):
-        acc = CostAccounting(cache=None)
+        acc = CostAccounting()
         acc.parallel_begin()
         acc.charge("a", 100)
         acc.parallel_begin()
@@ -152,7 +152,7 @@ class TestAccounting:
         assert report.parallel_cycles == 300
 
     def test_by_category(self):
-        acc = CostAccounting(cache=None)
+        acc = CostAccounting()
         acc.charge("mpfr", 10)
         acc.charge("mpfr", 5)
         acc.charge("int", 1)

@@ -68,7 +68,7 @@ def test_backends_bit_identical(template):
     values = {}
     for backend in ("none", "mpfr", "boost"):
         program = compile_source(source, backend=backend)
-        values[backend] = program.run("f", [], cache=False).value
+        values[backend] = program.run("f", []).value
     assert values["none"] == values["mpfr"] == values["boost"], source
 
 
@@ -79,9 +79,9 @@ def test_unum_backend_matches_interpreter(template):
     same unum precision."""
     source = template.replace("FTYPE", "vpfloat<unum, 4, 7>")
     reference = compile_source(source, backend="none") \
-        .run("f", [], cache=False).value
+        .run("f", []).value
     machine_value = compile_source(source, backend="unum") \
-        .machine(cache=False).run("f", [])
+        .machine().run("f", [])
     assert machine_value == reference, source
 
 
@@ -91,9 +91,9 @@ def test_optimization_levels_agree(template):
     """-O0 (raw codegen) and -O3 produce identical results."""
     source = template.replace("FTYPE", f"vpfloat<mpfr, 16, {PRECISION}>")
     o0 = compile_source(source, backend="none", opt_level=0) \
-        .run("f", [], cache=False).value
+        .run("f", []).value
     o3 = compile_source(source, backend="none", opt_level=3) \
-        .run("f", [], cache=False).value
+        .run("f", []).value
     assert o0 == o3, source
 
 
@@ -102,10 +102,10 @@ def test_optimization_levels_agree(template):
 def test_ablation_switches_preserve_semantics(template):
     source = template.replace("FTYPE", f"vpfloat<mpfr, 16, {PRECISION}>")
     base = compile_source(source, backend="mpfr") \
-        .run("f", [], cache=False).value
+        .run("f", []).value
     for switch in ("reuse_objects", "specialize_scalars",
                    "in_place_stores"):
         toggled = compile_source(source, backend="mpfr",
                                  **{switch: False}) \
-            .run("f", [], cache=False).value
+            .run("f", []).value
         assert toggled == base, (switch, source)

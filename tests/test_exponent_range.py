@@ -27,18 +27,18 @@ class TestExponentRange:
     def test_overflow_to_infinity(self):
         """With 6 exponent bits the limit is 2**32: 2**(2**6) overflows."""
         p = program(6)
-        assert p.run("grow", [4], cache=False).value == 2.0 ** 16
-        assert p.run("grow", [6], cache=False).value == float("inf")
+        assert p.run("grow", [4]).value == 2.0 ** 16
+        assert p.run("grow", [6]).value == float("inf")
 
     def test_underflow_to_zero(self):
         p = program(6)
-        assert p.run("shrink", [4], cache=False).value == 2.0 ** -16
-        assert p.run("shrink", [6], cache=False).value == 0.0
+        assert p.run("shrink", [4]).value == 2.0 ** -16
+        assert p.run("shrink", [6]).value == 0.0
 
     def test_wide_exponent_never_clamps_here(self):
         p = program(16)
-        assert p.run("grow", [6], cache=False).value == 2.0 ** 64
-        assert p.run("shrink", [6], cache=False).value == 2.0 ** -64
+        assert p.run("grow", [6]).value == 2.0 ** 64
+        assert p.run("shrink", [6]).value == 2.0 ** -64
 
     def test_sign_preserved_through_overflow(self):
         source = """
@@ -49,7 +49,7 @@ class TestExponentRange:
         }
         """
         p = compile_source(source, backend="none")
-        assert p.run("f", [6], cache=False).value == float("-inf")
+        assert p.run("f", [6]).value == float("-inf")
 
     def test_range_boundary_exact(self):
         """2**32 is the last finite value at exp-bits=6 (limit 2**32,
@@ -65,5 +65,5 @@ class TestExponentRange:
         # 2**31 * 2 = 2**32: exponent 33 > limit? exponent of 2**32 is 33
         # in MPFR convention... value 2**32 lies in [2**32, 2**33) ->
         # exponent 33 > 32: overflow.
-        assert p.run("f", [2.0 ** 30], cache=False).value == 2.0 ** 31
-        assert p.run("f", [2.0 ** 32], cache=False).value == float("inf")
+        assert p.run("f", [2.0 ** 30]).value == 2.0 ** 31
+        assert p.run("f", [2.0 ** 32]).value == float("inf")

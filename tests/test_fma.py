@@ -105,9 +105,9 @@ class TestSemantics:
         }
         """
         plain = compile_source(source, backend="none") \
-            .run("f", [], cache=False).value
+            .run("f", []).value
         fused = compile_source(source, backend="none", contract_fma=True) \
-            .run("f", [], cache=False).value
+            .run("f", []).value
         # Both are tiny; the fused one keeps more of the true value.
         true_value = (1 + 1e-10) ** 2 - (1 + 2e-10)  # ~1e-20
         assert abs(fused - true_value) <= abs(plain - true_value)
@@ -117,7 +117,7 @@ class TestSemantics:
         for backend in ("none", "mpfr", "boost"):
             program = compile_source(MAC, backend=backend,
                                      contract_fma=True)
-            interp = program.interpreter(cache=False)
+            interp = program.interpreter()
             base = interp.memory.alloc_heap(64)
             for k in range(8):
                 interp.memory.store(base + 8 * k, float(k), 8)
@@ -126,7 +126,7 @@ class TestSemantics:
 
     def test_mpfr_backend_emits_mpfr_fma(self):
         program = compile_source(MAC, backend="mpfr", contract_fma=True)
-        interp = program.interpreter(cache=False)
+        interp = program.interpreter()
         base = interp.memory.alloc_heap(64)
         for k in range(8):
             interp.memory.store(base + 8 * k, float(k), 8)
@@ -136,7 +136,7 @@ class TestSemantics:
     def test_unum_backend_emits_gfma(self):
         source = MAC.replace("mpfr, 16, 160", "unum, 4, 7")
         program = compile_source(source, backend="unum", contract_fma=True)
-        machine = program.machine(cache=False)
+        machine = program.machine()
         base = machine.memory.alloc_heap(64)
         for k in range(8):
             machine.memory.store(base + 8 * k, float(k), 8)
@@ -146,15 +146,15 @@ class TestSemantics:
 
     def test_fma_reduces_call_count(self):
         """One fused call replaces two (and one fewer rounding)."""
-        unfused = compile_source(MAC, backend="mpfr")
+        separate = compile_source(MAC, backend="mpfr")
         fused = compile_source(MAC, backend="mpfr", contract_fma=True)
 
         def mpfr_calls(program):
-            interp = program.interpreter(cache=False)
+            interp = program.interpreter()
             base = interp.memory.alloc_heap(64)
             for k in range(8):
                 interp.memory.store(base + 8 * k, float(k), 8)
             interp.run("f", [8, base])
             return interp.mpfr.stats.ops
 
-        assert mpfr_calls(fused) < mpfr_calls(unfused)
+        assert mpfr_calls(fused) < mpfr_calls(separate)

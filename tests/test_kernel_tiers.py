@@ -6,17 +6,15 @@ Three layers, matching the feature's own structure:
   kernels must match :func:`round_significand` bit-for-bit across all
   five rounding modes, both signs, and the sticky/exact boundaries at
   precisions 1..4096 (hypothesis, with the tie/exact edges enumerated);
-* the *compiled kernels* -- scalar, and the batched numpy tier lane by
-  lane -- must be bit-identical to the ``arith.<op>`` library on
-  finite, special, and mixed-precision operands (the latter exercising
-  the fallback hooks);
+* the *compiled kernels* must be bit-identical to the ``arith.<op>``
+  library on finite, special, and mixed-precision operands (the latter
+  exercising the fallback hooks);
 * the *plumbing*: KernelStats accounting, metrics counters, and the
   service run-option whitelist.
 """
 
 import asyncio
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +28,6 @@ from repro.bigfloat.rounding import (
     RNDZ,
     round_significand,
 )
-from repro.codegen import batch_np_kernels
-from repro.codegen.batch_kernels import batch_kernel_factory
 from repro.codegen.kernels import (
     KernelStats,
     _exact_round_lines,
@@ -41,7 +37,6 @@ from repro.codegen.kernels import (
 )
 from repro.codegen.kernels import _LIBRARY as SCALAR_LIBRARY
 from repro.core import CompilerDriver
-from repro.runtime.batch import BatchContext, VPBatch
 from repro.validation.certificate import value_token
 
 ALL_MODES = (RNDN, RNDZ, RNDU, RNDD, RNDA)
@@ -218,56 +213,6 @@ def test_special_operand_falls_back_with_note():
                                 notes=notes_stats.notes())
     kernel(BigFloat.nan(24), BigFloat.from_float(1.0, 24))
     assert notes_stats.fallbacks["special"] == 1
-
-
-# ----------------------------------------------------------------- #
-# Batched numpy tier, lane by lane vs the arith library
-# ----------------------------------------------------------------- #
-
-@st.composite
-def np_lane_cases(draw):
-    prec = draw(st.integers(batch_np_kernels.NP_MIN_PREC,
-                            batch_np_kernels.NP_MAX_PREC))
-    op = draw(st.sampled_from(("add", "sub", "mul")))
-    lanes = draw(st.integers(1, 6))
-
-    def lane():
-        kind = draw(st.sampled_from(["finite", "finite", "finite",
-                                     "zero"]))
-        if kind == "zero":
-            return BigFloat.zero(prec, draw(st.integers(0, 1)))
-        return _finite(draw, prec)
-
-    a = [lane() for _ in range(lanes)]
-    b = [lane() for _ in range(lanes)]
-    exp_bits = draw(st.sampled_from((None, 8, 16)))
-    return op, prec, exp_bits, a, b
-
-
-@settings(max_examples=500, deadline=None)
-@given(np_lane_cases())
-def test_batch_np_lanes_match_library(case):
-    op, prec, exp_bits, a, b = case
-    library = SCALAR_LIBRARY[op]
-
-    def reference(x, y):
-        return library(x, y, prec, RNDN)
-
-    if exp_bits is not None:
-        reference = clamped_fallback(reference, prec, exp_bits)
-    ctx = BatchContext(lanes=len(a))
-    generic = batch_kernel_factory(op, prec, RNDN, exp_bits)(ctx)
-    kernel = batch_np_kernels.make_np_kernel(op, prec, exp_bits, ctx,
-                                             generic)
-    with pytest.MonkeyPatch.context() as patch:
-        # Drop the lane-count floor so the vector path runs on tiny
-        # batches.
-        patch.setattr(batch_np_kernels, "NP_MIN_LANES", 1)
-        got = kernel(VPBatch.from_lanes(a), VPBatch.from_lanes(b))
-    assert ctx.np_ops == 1 and ctx.np_bailouts == 0
-    for x, y, lane in zip(a, b, got.lanes()):
-        assert value_token(lane) == value_token(reference(x, y)), \
-            (op, prec, exp_bits, x, y)
 
 
 # ----------------------------------------------------------------- #

@@ -76,7 +76,7 @@ class TestListing2:
         """
         program = compile_source(driver, backend="none")
         # sum_j j = 28 per row; alpha*28 = 56; 8 rows -> 448.
-        assert program.run("drive", [7, 8, 8], cache=False).value == 448.0
+        assert program.run("drive", [7, 8, 8]).value == 448.0
 
     def test_axpy_variants_agree(self):
         driver = LISTING2 + """

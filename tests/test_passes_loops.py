@@ -74,7 +74,7 @@ class TestLICM:
         program_value = run(module, "f", None) if False else None
         # Functional check through the full pipeline instead:
         p = compile_source(source, backend="none")
-        interp = p.interpreter(cache=False)
+        interp = p.interpreter()
         base = interp.memory.alloc_heap(8)
         interp.memory.store(base, 1.0, 8)
         result = interp.run("f", [3, base])

@@ -125,8 +125,8 @@ class TestTransformation:
         tiled = compile_source(driver, backend="none", polly=True,
                                polly_tile=4)
         assert tiled.tiled_nests == 2  # init nest + gemm nest
-        a = plain.run("run", [10], cache=False).value
-        b = tiled.run("run", [10], cache=False).value
+        a = plain.run("run", [10]).value
+        b = tiled.run("run", [10]).value
         assert a == b
 
     def test_tile_structure(self):

@@ -115,7 +115,7 @@ class TestLanguageIntegration:
         }
         """
         program = compile_source(source, backend="none")
-        got = program.run("f", [10], cache=False).value
+        got = program.run("f", [10]).value
         assert got == pytest.approx(1.0, abs=1e-7)
 
     def test_width_changes_accuracy(self):
@@ -130,7 +130,7 @@ class TestLanguageIntegration:
         for width in (16, 24, 32):
             program = compile_source(template.replace("WIDTH", str(width)),
                                      backend="none")
-            errors.append(abs(program.run("f", [10], cache=False).value - 1.0))
+            errors.append(abs(program.run("f", [10]).value - 1.0))
         assert errors[0] > errors[1] > errors[2]
 
     def test_posit_attrs_range_checked(self):
@@ -156,7 +156,7 @@ class TestLanguageIntegration:
     def test_sizeof_posit(self):
         source = "long f() { return sizeof(vpfloat<posit, 2, 32>); }"
         assert compile_source(source, backend="none") \
-            .run("f", [], cache=False).value == 4
+            .run("f", []).value == 4
 
     def test_dynamic_posit_width(self):
         source = """
@@ -166,6 +166,6 @@ class TestLanguageIntegration:
         }
         """
         program = compile_source(source, backend="none")
-        e16 = abs(program.run("f", [16], cache=False).value - 1.3)
-        e32 = abs(program.run("f", [32], cache=False).value - 1.3)
+        e16 = abs(program.run("f", [16]).value - 1.3)
+        e32 = abs(program.run("f", [32]).value - 1.3)
         assert e32 < e16

@@ -10,7 +10,7 @@ from repro.unum import UnumConfig, encode
 
 def run_unum(source, fn, args, **compile_kwargs):
     program = compile_source(source, backend="unum", **compile_kwargs)
-    machine = program.machine(cache=False)
+    machine = program.machine()
     return machine.run(fn, args), machine
 
 
@@ -176,7 +176,7 @@ class TestSpillExecution:
         """
         program = compile_source(source, backend="unum",
                                  enable_unroll=False)
-        machine = program.machine(cache=False)
+        machine = program.machine()
         value = machine.run("f", [1.0])
         assert value == sum(1.0 + i + 0.5 for i in range(34))
         opcodes = [i.opcode for f in program.asm.functions.values()

@@ -142,8 +142,7 @@ class TestValidateHarness:
         assert cert.passed
         labels = {check.label for check in cert.checks}
         # jit is the mpfr reference; the others plus the pool toggle.
-        assert {"engine.fast", "engine.unfused", "engine.legacy",
-                "pool.off"} <= labels
+        assert {"engine.fast", "engine.legacy", "pool.off"} <= labels
 
     def test_passes_certificate_passes(self):
         cert = validate_passes(SOURCE, "f", (12,), backend="mpfr",
@@ -171,8 +170,7 @@ class TestRunKernelValidate:
     FTYPE = "vpfloat<mpfr, 16, 128>"
 
     @pytest.mark.parametrize("kernel,n", [("gemm", 5), ("jacobi-1d", 8)])
-    @pytest.mark.parametrize("engine", ["jit", "fast", "unfused",
-                                        "legacy"])
+    @pytest.mark.parametrize("engine", ["jit", "fast", "legacy"])
     def test_certificate_passes_and_primary_untouched(self, kernel, n,
                                                       engine):
         plain = run_kernel(kernel, self.FTYPE, n, backend="mpfr",
@@ -215,7 +213,7 @@ class TestFuzzer:
 
         program = generate_program(random.Random(1))
         compiled = compile_source(program.render_source(), backend="mpfr")
-        compiled.run("f", [], cache=False)
+        compiled.run("f", [])
 
     def test_random_programs_cross_check_clean(self):
         import random
