@@ -32,13 +32,18 @@ coordinates (block index, instruction index, operand index).  The text
 therefore contains no live object references and can be persisted in
 the compile cache (``<key>.vpcgen`` sidecars, see
 :meth:`repro.core.cache.CompileCache.put_codegen`) and re-bound in a
-different process against the identical pickled program.
+different process against the identical pickled program.  Sidecars
+also carry the marshalled code object, keyed by the interpreter's
+bytecode magic, so a warm process skips ``compile()`` as well.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import time
+from importlib.util import MAGIC_NUMBER
+from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
 from ..bigfloat import BigFloat, RNDN, limb_bytes
@@ -350,10 +355,10 @@ _bfromf = R.batch_from_float
 _bfromi = R.batch_from_int
 _lbytes = R.limb_bytes
 _lbc = {}
-_cachem = _acct.cache
-_HC = _cachem is not None
-if _HC:
-    _cacc = _cachem.access"""
+_trace = _acct.trace
+_tpush = _trace.append
+_TLIM = _acct.trace_limit
+_tsync = _acct.sync"""
 
 
 class FunctionEmitter:
@@ -1093,21 +1098,20 @@ class FunctionEmitter:
     # messages stay byte-identical.
 
     def _emit_touch(self, out, reads: List[str], write: str) -> None:
-        out.append("    if _HC:")
-        out.append("        _t0 = _cachem.access_cycles")
         for var in reads:
-            out.append(f"        _pv = {var}.prec")
-            out.append("        _nb = _lbc.get(_pv)")
-            out.append("        if _nb is None:")
-            out.append("            _nb = _lbytes(_pv)")
-            out.append("            _lbc[_pv] = _nb")
-            out.append(f'        _cacc("r", {var}.limb_addr, _nb)')
-        out.append("        _nb = _lbc.get(_p)")
-        out.append("        if _nb is None:")
-        out.append("            _nb = _lbytes(_p)")
-        out.append("            _lbc[_p] = _nb")
-        out.append(f'        _cacc("w", {write}.limb_addr, _nb)')
-        out.append("        _rep.cycles += _cachem.access_cycles - _t0")
+            out.append(f"    _pv = {var}.prec")
+            out.append("    _nb = _lbc.get(_pv)")
+            out.append("    if _nb is None:")
+            out.append("        _nb = _lbytes(_pv)")
+            out.append("        _lbc[_pv] = _nb")
+            out.append(f"    _tpush(({var}.limb_addr, _nb))")
+        out.append("    _nb = _lbc.get(_p)")
+        out.append("    if _nb is None:")
+        out.append("        _nb = _lbytes(_p)")
+        out.append("        _lbc[_p] = _nb")
+        out.append(f"    _tpush(({write}.limb_addr, _nb))")
+        out.append("    if len(_trace) >= _TLIM:")
+        out.append("        _tsync()")
 
     def _emit_mpfr_charge(self, out, call_name: str) -> None:
         out.append("    _rep.mpfr_calls += 1")
@@ -1211,21 +1215,45 @@ def emit_function_source(interp, func: Function
 # Store + engine
 # ----------------------------------------------------------------- #
 
+#: Bytecode magic of this interpreter, stamped on persisted code
+#: objects: marshal's format is only stable within one magic.
+_MAGIC = MAGIC_NUMBER.hex()
+
+
+def _load_code(record: dict):
+    """-> (code object, None) from a sidecar record's marshalled code,
+    or (None, reason) with reason None (nothing persisted), "magic",
+    "garbled" or "not-code".  Never raises."""
+    blob = record.get("code")
+    if blob is None:
+        return None, None
+    if record.get("magic") != _MAGIC:
+        return None, "magic"
+    try:
+        code = marshal.loads(bytes.fromhex(blob))
+    except Exception:
+        return None, "garbled"
+    if not isinstance(code, CodeType):
+        return None, "not-code"
+    return code, None
+
+
 class CodegenStore:
-    """Per-program store of codegen artifacts (status, reason, source).
+    """Per-program store of codegen artifacts (status, reason, source,
+    code object).
 
     Backed by a :class:`~repro.core.cache.CompileCache` ``.vpcgen``
     sidecar when the program came through the compile cache, so warm
-    processes skip re-emission entirely; otherwise purely in-memory
-    (still skipping re-emission across runs of one program object).
-    Compiled code objects are memoized in-process and never persisted.
+    processes skip re-emission and recompilation entirely; otherwise
+    purely in-memory (still skipping both across runs of one program
+    object).  Code objects are memoized in-process in :attr:`codes`.
     """
 
     def __init__(self, cache=None, key: Optional[str] = None):
         self.cache = cache
         self.key = key
         self.records: Dict[str, dict] = {}
-        self.codes: Dict[str, object] = {}
+        self.codes: Dict[str, CodeType] = {}
         self._loaded = False
 
     def _load(self) -> None:
@@ -1259,7 +1287,8 @@ class CodegenStore:
 
     def record(self, name: str, status: str, reason: Optional[str] = None,
                source: Optional[str] = None,
-               line_map: Optional[Dict[int, tuple]] = None) -> None:
+               line_map: Optional[Dict[int, tuple]] = None,
+               code: Optional[CodeType] = None) -> None:
         self._load()
         entry = {"status": status, "reason": reason, "source": source}
         if line_map:
@@ -1268,11 +1297,24 @@ class CodegenStore:
             entry["line_map"] = {str(lineno): list(loc)
                                  for lineno, loc in line_map.items()}
         self.records[name] = entry
+        if code is not None:
+            self.codes[name] = code
         if self.cache is not None and self.key is not None:
             self.cache.put_codegen(self.key, {
                 "version": CODEGEN_VERSION,
-                "functions": self.records,
+                "functions": {fn: self._persisted(fn, rec)
+                              for fn, rec in self.records.items()},
             })
+
+    def _persisted(self, name: str, record: dict) -> dict:
+        """``record`` as written to the sidecar: with the marshalled
+        code object when one is in hand.  Only the sidecar holds the
+        hex text, so a long-lived store keeps one copy of each code
+        object, not two."""
+        code = self.codes.get(name)
+        if code is None:
+            return record
+        return dict(record, code=marshal.dumps(code).hex(), magic=_MAGIC)
 
     def statuses(self) -> Dict[str, dict]:
         """name -> {status, reason} for everything decided so far."""
@@ -1324,6 +1366,7 @@ class JitEngine:
         metrics = interp.metrics
         store = self.store
         name = func.name
+        filename = f"<vpjit:{name}>"
         record = store.lookup(name)
         fresh = record is None
         if fresh:
@@ -1340,39 +1383,24 @@ class JitEngine:
             if metrics is not None:
                 metrics.observe("codegen.emit_seconds",
                                 time.perf_counter() - t0)
+            LINE_MAPS[filename] = emitter.line_map
+            code = self._compile(source, filename)
+            if code is None:
+                store.record(name, "fallback", reason="compile error")
+                return None, "fallback", "compile error", False
             store.record(name, "jit", source=source,
-                         line_map=emitter.line_map)
-            record = store.lookup(name)
+                         line_map=emitter.line_map, code=code)
         elif record["status"] == "fallback":
             return None, "fallback", record.get("reason"), True
-        source = record.get("source")
-        if not source:
-            store.forget(name)
-            if fresh:
-                return None, "fallback", "empty source", False
-            return self._materialize(func)
-        code = store.codes.get(name)
-        if code is None:
-            raw_map = record.get("line_map")
-            if isinstance(raw_map, dict):
-                LINE_MAPS[f"<vpjit:{name}>"] = {
-                    int(lineno): tuple(loc)
-                    for lineno, loc in raw_map.items()
-                    if str(lineno).isdigit() and isinstance(loc, list)
-                }
-            t0 = time.perf_counter()
-            try:
-                code = compile(source, f"<vpjit:{name}>", "exec")
-            except SyntaxError:
-                # A stale or corrupt sidecar: drop it and re-emit once.
-                store.forget(name)
-                if fresh:
-                    return None, "fallback", "compile error", False
-                return self._materialize(func)
-            if metrics is not None:
-                metrics.observe("codegen.compile_seconds",
-                                time.perf_counter() - t0)
-            store.codes[name] = code
+        else:
+            code = store.codes.get(name)
+            if code is None:
+                code = self._revive(record, filename)
+                if code is None:
+                    # A stale or corrupt record: drop it and re-emit.
+                    store.forget(name)
+                    return self._materialize(func)
+                store.codes[name] = code
         namespace: Dict[str, object] = {}
         exec(code, namespace)
         runtime_cls = BatchJitRuntime \
@@ -1385,3 +1413,44 @@ class JitEngine:
             return (None, "fallback",
                     f"bind failed: {type(e).__name__}", not fresh)
         return entry, "jit", None, not fresh
+
+    def _revive(self, record: dict, filename: str) -> Optional[CodeType]:
+        """The code object of a stored jit record: the persisted one
+        when this interpreter can load it, else ``compile(source)``;
+        None when the record has no usable source."""
+        source = record.get("source")
+        if not source:
+            return None
+        raw_map = record.get("line_map")
+        if isinstance(raw_map, dict):
+            LINE_MAPS[filename] = {
+                int(lineno): tuple(loc)
+                for lineno, loc in raw_map.items()
+                if str(lineno).isdigit() and isinstance(loc, list)
+            }
+        code, rejected = _load_code(record)
+        # From here on store.codes holds the code object, and the
+        # sidecar is re-written from it.
+        record.pop("code", None)
+        record.pop("magic", None)
+        metrics = self.interp.metrics
+        if code is not None:
+            if metrics is not None:
+                metrics.inc("codegen.code.loaded")
+            return code
+        if rejected is not None and metrics is not None:
+            metrics.inc(f"codegen.code.rejected.{rejected}")
+        return self._compile(source, filename)
+
+    def _compile(self, source: str, filename: str) -> Optional[CodeType]:
+        metrics = self.interp.metrics
+        t0 = time.perf_counter()
+        try:
+            code = compile(source, filename, "exec")
+        except SyntaxError:
+            return None
+        if metrics is not None:
+            metrics.observe("codegen.compile_seconds",
+                            time.perf_counter() - t0)
+            metrics.inc("codegen.code.compiled")
+        return code

@@ -229,6 +229,7 @@ class CompiledProgram:
             result = interpreter.run(name, args)
         finally:
             if span is not None:
+                accounting.sync()
                 span.args["cycles"] = accounting.report.cycles
                 tracer.finish(span)
         result.interpreter = interpreter
@@ -312,6 +313,7 @@ class CompiledProgram:
                 return serial
         finally:
             if span is not None:
+                accounting.sync()
                 span.args["cycles"] = accounting.report.cycles
                 tracer.finish(span)
         values = [lane_view(result.value, i) for i in range(lanes)]

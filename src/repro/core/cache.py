@@ -25,6 +25,13 @@ Disk entries are written atomically (temp file + ``os.replace``) so a
 crashed or concurrent writer can never leave a torn entry; unreadable
 or stale-format entries are treated as misses and deleted best-effort.
 
+``.vpcgen`` sidecars hold the jit engine's emitted source and its
+marshalled code object (hex, stamped with the interpreter's bytecode
+magic; a mismatched or undecodable one falls back to compiling the
+source).  Loading either executes code, as unpickling the ``.vpc``
+entry already does: the cache directory must be as trusted as the
+program itself.
+
 ``max_disk_bytes`` bounds the on-disk store: after every store the
 least-recently-used entries (a ``.vpc`` pickle and its ``.vpcgen``
 codegen sidecar evict together) are deleted until the store fits.
@@ -67,9 +74,10 @@ _CODEGEN_STATUSES = ("jit", "fallback")
 def _codegen_payload_ok(payload: dict) -> bool:
     """Structural validity of a ``.vpcgen`` sidecar beyond the version
     stamp: ``functions`` must map names to records the jit engine can
-    consume (a ``status`` it knows; emitted source, when present, as a
-    string).  Anything else -- a truncated write that still parsed, a
-    hand-edited file, a garbled record -- must read as a cache miss."""
+    consume (a ``status`` it knows; emitted source, the hex-marshalled
+    code object and its bytecode magic, when present, as strings).
+    Anything else -- a truncated write that still parsed, a hand-edited
+    file, a garbled record -- must read as a cache miss."""
     functions = payload.get("functions", {})
     if not isinstance(functions, dict):
         return False
@@ -83,9 +91,10 @@ def _codegen_payload_ok(payload: dict) -> bool:
             return False
         if source is not None and not isinstance(source, str):
             return False
-        reason = record.get("reason")
-        if reason is not None and not isinstance(reason, str):
-            return False
+        for field in ("reason", "code", "magic"):
+            value = record.get(field)
+            if value is not None and not isinstance(value, str):
+                return False
         line_map = record.get("line_map")
         if line_map is not None:
             # IR-location map of the emitted source (see pyjit): line

@@ -18,6 +18,10 @@ Metric naming scheme (dotted, lowercase)::
     runtime.builtin.<name>.{calls,cycles}       runtime-library attribution
     runtime.mpfr.{inits,clears,sets,ops,specialized_ops,...}
     runtime.pool.{hits,misses,releases}         MPFR free-list traffic
+    codegen.code.{loaded,compiled}              jit code objects: unmarshalled
+                                                vs compiled from source
+    codegen.code.rejected.<reason>              persisted code not used
+                                                (magic, garbled, not-code)
     eval.points                                 kernel executions absorbed
     precision.op.<op>.bits                      histogram: vp op precisions
     precision.mpfr.bits                         histogram: mpfr call precisions

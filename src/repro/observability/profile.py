@@ -209,6 +209,7 @@ class _ExactHook:
         entry = (frame.function.name, block.name,
                  self._index(block, inst), inst.opcode)
         self.stack.append(entry)
+        interp.accounting.sync()
         cycles0 = report.cycles
         attributed0 = self.attributed_cycles
         attributed_wall0 = self.attributed_wall
@@ -216,6 +217,7 @@ class _ExactHook:
         try:
             return interp._execute(inst, frame)
         finally:
+            interp.accounting.sync()
             delta_cycles = report.cycles - cycles0
             delta_wall = time.perf_counter() - wall0
             self_cycles = delta_cycles \

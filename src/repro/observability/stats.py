@@ -165,7 +165,9 @@ def render_trace_summary(data: dict) -> str:
 def render_codegen_summary(data: dict) -> str:
     """Per-function jit-codegen status, derived from the
     ``codegen.fn.<name>.jit`` / ``codegen.fn.<name>.fallback.<reason>``
-    counters. Empty string when the run never touched the jit engine."""
+    counters, and how jit code objects were obtained (the
+    ``codegen.code.{loaded,compiled,rejected.<reason>}`` counters).
+    Empty string when the run never touched the jit engine."""
     counters = data.get("counters", {})
     rows = {}
     for name, value in counters.items():
@@ -183,8 +185,21 @@ def render_codegen_summary(data: dict) -> str:
     if not rows:
         return ""
     jitted = sum(1 for status, _, _ in rows.values() if status == "jit")
-    lines = [f"codegen (jit engine): {len(rows)} function(s), "
-             f"{jitted} specialized, {len(rows) - jitted} fell back"]
+    summary = (f"codegen (jit engine): {len(rows)} function(s), "
+               f"{jitted} specialized, {len(rows) - jitted} fell back")
+    loaded = int(counters.get("codegen.code.loaded", 0))
+    compiled = int(counters.get("codegen.code.compiled", 0))
+    rejected = {name[len("codegen.code.rejected."):]: int(value)
+                for name, value in counters.items()
+                if name.startswith("codegen.code.rejected.")}
+    if loaded or compiled or rejected:
+        summary += (f"; code objects: {loaded} loaded, "
+                    f"{compiled} compiled")
+        if rejected:
+            summary += " (rejected: " + ", ".join(
+                f"{reason} {n}" for reason, n in sorted(rejected.items())
+            ) + ")"
+    lines = [summary]
     header = f"  {'function':<24} {'status':<10} {'calls':>7}  reason"
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))

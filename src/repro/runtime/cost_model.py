@@ -10,9 +10,11 @@ testbed (DESIGN.md substitution table).  Cycle costs are calibrated to the
 - ``mpfr_init2``/``mpfr_clear`` include heap allocator work, so lowering
   that avoids temporaries (late lowering + object reuse) saves real cycles
   -- the vpfloat-vs-Boost gap (Fig. 1);
-- loads/stores run through a 3-level LRU cache model; misses cost DRAM
-  latency, and total DRAM traffic feeds the OpenMP bandwidth-contention
-  model (paper: Boost turns compute-bound kernels memory-bound).
+- loads/stores run through a 3-level LRU cache model (buffered as a
+  trace and replayed in program order, see :class:`CostAccounting`);
+  misses cost DRAM latency, and total DRAM traffic feeds the OpenMP
+  bandwidth-contention model (paper: Boost turns compute-bound kernels
+  memory-bound).
 """
 
 from __future__ import annotations
@@ -54,7 +56,12 @@ ALLOCATOR_CONTENTION_CYCLES = 110
 
 
 class CacheModel:
-    """Inclusive multi-level LRU cache simulator over line addresses."""
+    """Inclusive multi-level LRU cache simulator over line addresses.
+
+    Accesses arrive as a trace of ``(addr, nbytes)`` pairs and run
+    through :meth:`replay`, the one simulation loop; :meth:`access` is
+    a one-pair replay.
+    """
 
     def __init__(self, levels=DEFAULT_LEVELS, dram_cycles: int = DRAM_CYCLES):
         self.levels = levels
@@ -63,68 +70,90 @@ class CacheModel:
         self.hits = [0 for _ in levels]
         self.misses_to_dram = 0
         self.dram_bytes = 0
-        self.access_cycles = 0
-        # Hot-path constants (line granularity is the L1 geometry).
+        # Line granularity is the L1 geometry.
         self._line = levels[0].line_bytes
-        self._l1 = self._sets[0]
-        self._l1_hit_cycles = levels[0].hit_cycles
+        if self._line & (self._line - 1):
+            raise ValueError("the L1 line size must be a power of two")
+        self._line_shift = self._line.bit_length() - 1
         self._limits = [lv.capacity_bytes // lv.line_bytes for lv in levels]
+        self._hit_cycles = [lv.hit_cycles for lv in levels]
+        if min(self._limits) < 1:
+            raise ValueError("every cache level must hold at least one line")
+        #: Most recently touched line: it sits at the MRU end of L1, so
+        #: touching it again is an L1 hit with no recency update.
+        self._mru = None
 
-    def access(self, kind: str, addr: int, nbytes: int) -> None:
+    def access(self, kind: str, addr: int, nbytes: int) -> int:
+        """Touch ``nbytes`` at ``addr`` (reads and writes cost the
+        same); -> the access's cycles."""
+        return self.replay(((addr, nbytes),))
+
+    def replay(self, trace) -> int:
+        """Run ``(addr, nbytes)`` accesses in order; -> their cycles.
+
+        An access touches every line it spans (at least one).  An L1
+        hit only refreshes L1 recency; a miss is served by the first
+        outer level holding the line (or DRAM) and fills every level
+        above it, evicting least-recently-used lines.
+        """
         line = self._line
-        first = addr // line
-        last = (addr + nbytes - 1) // line if nbytes > 1 else first
-        l1 = self._l1
-        if first == last:
-            # Single-line access: the overwhelmingly common case.
-            if first in l1:
-                l1.move_to_end(first)
-                self.hits[0] += 1
-                self.access_cycles += self._l1_hit_cycles
+        offset_mask = line - 1
+        shift = self._line_shift
+        sets = self._sets
+        l1 = sets[0]
+        l1_refresh = l1.move_to_end
+        outer = range(1, len(sets))
+        hit_cycles = self._hit_cycles
+        limits = self._limits
+        hits = self.hits
+        dram_cycles = self.dram_cycles
+        mru = self._mru
+        l1_hits = 0
+        misses = 0
+        cycles = 0
+        for addr, nbytes in trace:
+            first = addr >> shift
+            if (addr & offset_mask) + nbytes <= line:
+                # Single-line access: the overwhelmingly common case.
+                if first == mru:
+                    l1_hits += 1
+                    continue
+                mru = first
+                if first in l1:
+                    l1_refresh(first)
+                    l1_hits += 1
+                    continue
+                lines = (first,)
             else:
-                self._touch_slow(first)
-            return
-        for line_addr in range(first, last + 1):
-            if line_addr in l1:
-                # L1 hit: nothing to promote, just recency + cycles.
-                l1.move_to_end(line_addr)
-                self.hits[0] += 1
-                self.access_cycles += self._l1_hit_cycles
-            else:
-                self._touch_slow(line_addr)
-
-    def _touch(self, line_addr: int) -> None:
-        if line_addr in self._l1:
-            self._l1.move_to_end(line_addr)
-            self.hits[0] += 1
-            self.access_cycles += self._l1_hit_cycles
-        else:
-            self._touch_slow(line_addr)
-
-    def _touch_slow(self, line_addr: int) -> None:
-        levels = self.levels
-        for i in range(1, len(levels)):
-            cache = self._sets[i]
-            if line_addr in cache:
-                cache.move_to_end(line_addr)
-                self.hits[i] += 1
-                self.access_cycles += levels[i].hit_cycles
-                self._fill_upper(i, line_addr)
-                return
-        # Miss all the way to DRAM.
-        self.misses_to_dram += 1
-        self.dram_bytes += self._line
-        self.access_cycles += self.dram_cycles
-        self._fill_upper(len(levels), line_addr)
-
-    def _fill_upper(self, found_level: int, line_addr: int) -> None:
-        for i in range(found_level):
-            cache = self._sets[i]
-            cache[line_addr] = True
-            cache.move_to_end(line_addr)
-            limit = self._limits[i]
-            while len(cache) > limit:
-                cache.popitem(last=False)
+                mru = (addr + nbytes - 1) >> shift
+                lines = range(first, mru + 1)
+            for ln in lines:
+                if ln in l1:
+                    l1_refresh(ln)
+                    l1_hits += 1
+                    continue
+                for level in outer:
+                    cache = sets[level]
+                    if ln in cache:
+                        cache.move_to_end(ln)
+                        hits[level] += 1
+                        cycles += hit_cycles[level]
+                        break
+                else:
+                    level = len(sets)
+                    misses += 1
+                    cycles += dram_cycles
+                # Not present above ``level``: insert at the MRU end.
+                for upper in range(level):
+                    cache = sets[upper]
+                    cache[ln] = True
+                    if len(cache) > limits[upper]:
+                        cache.popitem(last=False)
+        self._mru = mru
+        hits[0] += l1_hits
+        self.misses_to_dram += misses
+        self.dram_bytes += misses * line
+        return cycles + l1_hits * hit_cycles[0]
 
     def llc_misses(self) -> int:
         return self.misses_to_dram
@@ -295,12 +324,27 @@ class CostReport:
 
 
 class CostAccounting:
-    """Mutable accounting shared by the interpreter and runtime libs."""
+    """Mutable accounting shared by the interpreter and runtime libs.
+
+    Memory accesses are not simulated one by one: producers (``Memory``
+    loads and stores, MPFR limb touches, memset/memcpy, the unum
+    machine) append ``(addr, nbytes)`` to :attr:`trace` in program
+    order, and :meth:`sync` replays the buffer through the cache model
+    and charges its cycles.  Every reader of ``report.cycles`` or of
+    the model's DRAM traffic syncs first: OpenMP region boundaries,
+    :meth:`finalize`, and the mid-run profilers and trace spans.
+    Producers sync when the buffer reaches :attr:`trace_limit`.
+    """
+
+    #: Buffered entries that trigger a replay.  It bounds the buffer's
+    #: memory; the model's results do not depend on it.
+    trace_limit = 4096
 
     def __init__(self, costs: Optional[CycleCosts] = None):
         self.costs = costs or CycleCosts()
         self.cache = CacheModel()
         self.report = CostReport()
+        self.trace: list = []
         self._parallel_depth = 0
         self._parallel_start_cycles = 0
         self._parallel_start_dram = 0
@@ -315,13 +359,22 @@ class CostAccounting:
         self.report.instructions += 1
 
     def memory_access(self, kind: str, addr: int, nbytes: int) -> None:
-        before = self.cache.access_cycles
-        self.cache.access(kind, addr, nbytes)
-        self.report.cycles += self.cache.access_cycles - before
+        trace = self.trace
+        trace.append((addr, nbytes))
+        if len(trace) >= self.trace_limit:
+            self.sync()
+
+    def sync(self) -> None:
+        """Replay the buffered memory trace and charge its cycles."""
+        trace = self.trace
+        if trace:
+            self.report.cycles += self.cache.replay(trace)
+            trace.clear()
 
     # ---- OpenMP region tracking ------------------------------ #
 
     def parallel_begin(self) -> None:
+        self.sync()
         if self._parallel_depth == 0:
             self._parallel_start_cycles = self.report.cycles
             self._parallel_start_dram = self.cache.dram_bytes
@@ -329,6 +382,7 @@ class CostAccounting:
         self._parallel_depth += 1
 
     def parallel_end(self) -> None:
+        self.sync()
         self._parallel_depth -= 1
         if self._parallel_depth == 0:
             region = self.report.cycles - self._parallel_start_cycles
@@ -344,6 +398,7 @@ class CostAccounting:
     # -------------------------------------------------------- #
 
     def finalize(self, memory=None) -> CostReport:
+        self.sync()
         self.report.cache_hits = tuple(self.cache.hits)
         self.report.llc_misses = self.cache.llc_misses()
         self.report.dram_bytes = self.cache.dram_bytes

@@ -853,15 +853,18 @@ class FunctionCompiler:
                 raise vpr(f"call to unknown runtime function {name!r}")
 
             return step
-        report = interp.accounting.report
         profile = interp.profile
         if profile is not None:
             record = profile.record_builtin
+            report = interp.accounting.report
+            sync = interp.accounting.sync
 
             def step(frame):
                 args = [g(frame) for g in getters]
+                sync()
                 before = report.cycles
                 frame.values[iid] = handler(args, inst, frame)
+                sync()
                 record(name, report.cycles - before)
         else:
             def step(frame):

@@ -172,7 +172,7 @@ class Interpreter:
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.module = module
         self.accounting = accounting or CostAccounting()
-        self.memory = Memory(observer=self.accounting.memory_access)
+        self.memory = Memory(self.accounting)
         self.mpfr = mpfr_library or MpfrLibrary(pool=mpfr_pool,
                                                 pool_limit=pool_limit)
         self.max_steps = max_steps
@@ -440,7 +440,9 @@ class Interpreter:
         the untraced paths charge (spans record wall-clock, never
         modeled cycles), so reports stay bit-identical."""
         tracer = self.tracer
-        report = self.accounting.report
+        accounting = self.accounting
+        report = accounting.report
+        accounting.sync()
         cycles0 = report.cycles
         instructions0 = report.instructions
         counts: Dict[str, int] = {}
@@ -459,6 +461,7 @@ class Interpreter:
                 value = self._call_compiled(func, args, counts)
             else:
                 value = self._call_legacy(func, args, counts)
+            accounting.sync()
             span.args["cycles"] = report.cycles - cycles0
             span.args["instructions"] = report.instructions - instructions0
             if counts:
@@ -908,10 +911,12 @@ class Interpreter:
             raise VPRuntimeError(f"call to unknown runtime function {name!r}")
         profile = self.profile
         if profile is not None:
-            before = self.accounting.report.cycles
+            accounting = self.accounting
+            accounting.sync()
+            before = accounting.report.cycles
             result = handler(args, inst, frame)
-            profile.record_builtin(name,
-                                   self.accounting.report.cycles - before)
+            accounting.sync()
+            profile.record_builtin(name, accounting.report.cycles - before)
             return result
         return handler(args, inst, frame)
 
@@ -1258,7 +1263,9 @@ class Interpreter:
         b["__mpfr_array_init"] = array_init
         b["__mpfr_array_clear"] = array_clear
 
-        cache_model = self.accounting.cache
+        trace = self.accounting.trace
+        trace_limit = self.accounting.trace_limit
+        sync = self.accounting.sync
         limb_bytes_cache: dict = {}
 
         def touch_limbs(var, kind):
@@ -1267,9 +1274,9 @@ class Interpreter:
             if nbytes is None:
                 nbytes = bigfloat.limb_bytes(prec)
                 limb_bytes_cache[prec] = nbytes
-            before = cache_model.access_cycles
-            cache_model.access(kind, var.limb_addr, nbytes)
-            report.cycles += cache_model.access_cycles - before
+            trace.append((var.limb_addr, nbytes))
+            if len(trace) >= trace_limit:
+                sync()
 
         # Handlers bind the MpfrLibrary method once at install time (no
         # per-call getattr), memoize per-(name, prec) cycle costs, and

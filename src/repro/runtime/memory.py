@@ -6,13 +6,16 @@ with the byte span they occupy, so address arithmetic (GEP) works exactly
 as in C while the cache model sees realistic byte traffic.
 
 Stack allocation follows scope lifetimes (mark/release), heap allocation
-tracks malloc/free, and every access notifies an optional observer (the
-cache model).
+tracks malloc/free, and every access is appended to the memory trace of
+a :class:`~repro.runtime.cost_model.CostAccounting` (the cache model's
+input).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from .cost_model import CostAccounting
 
 STACK_BASE = 0x1000_0000
 HEAP_BASE = 0x8000_0000
@@ -26,13 +29,17 @@ class MemoryError_(RuntimeError):
 class Memory:
     """Object-cell memory with byte addressing."""
 
-    def __init__(self, observer: Optional[Callable[[str, int, int], None]] = None):
+    def __init__(self, accounting: Optional[CostAccounting] = None):
+        if accounting is None:
+            accounting = CostAccounting()
+        self.accounting = accounting
         self.cells: Dict[int, Tuple[object, int]] = {}
         self.stack_pointer = STACK_BASE
         self.heap_pointer = HEAP_BASE
         self.global_pointer = GLOBAL_BASE
         self.heap_blocks: Dict[int, int] = {}  # base -> size
-        self.observer = observer
+        self._trace = accounting.trace
+        self._trace_limit = accounting.trace_limit
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -88,15 +95,19 @@ class Memory:
             raise MemoryError_("store through null pointer")
         self.cells[addr] = (value, nbytes)
         self.bytes_written += nbytes
-        if self.observer is not None:
-            self.observer("w", addr, nbytes)
+        trace = self._trace
+        trace.append((addr, nbytes))
+        if len(trace) >= self._trace_limit:
+            self.accounting.sync()
 
     def load(self, addr: int, nbytes: int, default: object = None) -> object:
         if addr == 0:
             raise MemoryError_("load through null pointer")
         self.bytes_read += nbytes
-        if self.observer is not None:
-            self.observer("r", addr, nbytes)
+        trace = self._trace
+        trace.append((addr, nbytes))
+        if len(trace) >= self._trace_limit:
+            self.accounting.sync()
         cell = self.cells.get(addr)
         if cell is None:
             return default  # uninitialized memory reads as the default

@@ -57,7 +57,7 @@ class UnumMachine:
                  max_steps: int = 500_000_000):
         self.asm = asm
         self.accounting = accounting or CostAccounting()
-        self.memory = Memory(observer=self.accounting.memory_access)
+        self.memory = Memory(self.accounting)
         self.coprocessor = coprocessor or UnumCoprocessor(wgp=128)
         self.adapter = _CoprocessorMemoryAdapter(self.memory)
         self.max_steps = max_steps
@@ -69,6 +69,7 @@ class UnumMachine:
 
     @property
     def cycles(self) -> int:
+        self.accounting.sync()
         return self.scalar_cycles + self.coprocessor.cycles + \
             self.accounting.report.cycles
 

@@ -8,12 +8,18 @@ kernels exercise the per-function fallback path, and the CompileCache
 round-trip checks that warm runs skip re-emission.
 """
 
+import dataclasses
+import json
+import marshal
+from importlib.util import MAGIC_NUMBER
+
 import pytest
 
 from repro.codegen.pyjit import CodegenStore, emit_function_source
 from repro.core import CompileCache, CompilerDriver, compile_source
 from repro.evaluation.harness import _read_interpreter_outputs
 from repro.observability import telemetry_session
+from repro.runtime.cost_model import CostAccounting
 from repro.workloads import RAJA_KERNELS, raja_source
 from repro.workloads.polybench import KERNELS, source_for
 
@@ -34,6 +40,14 @@ def _report_fields(report):
 
 def _assert_identical(jit, legacy):
     assert _report_fields(jit.report) == _report_fields(legacy.report)
+
+
+def _whole_report(report):
+    """Every CostReport field, by_category as a plain dict."""
+    fields = {f.name: getattr(report, f.name)
+              for f in dataclasses.fields(report)}
+    fields["by_category"] = dict(fields["by_category"])
+    return fields
 
 
 class TestPolyBenchDifferential:
@@ -68,6 +82,34 @@ class TestRajaPerfDifferential:
         legacy = program.run("run", [RAJA_N], engine="legacy")
         assert jit.value == legacy.value
         _assert_identical(jit, legacy)
+
+
+class TestParallelRegionAccounting:
+    """The memory trace is replayed at every OpenMP region boundary, so
+    region cycles and DRAM traffic are identical on every engine and
+    independent of when the buffer fills."""
+
+    @pytest.mark.parametrize("kernel", ["IF_QUAD", "STREAM_ADD"])
+    def test_region_metrics_identical_across_engines(self, kernel,
+                                                     monkeypatch):
+        source = raja_source(kernel, RAJA_FTYPE, openmp=True)
+        program = compile_source(source, backend="mpfr")
+        reports = {engine: program.run("run", [RAJA_N],
+                                       engine=engine).report
+                   for engine in ("jit", "fast", "legacy")}
+        # A three-entry buffer replays mid-region, many times over.
+        monkeypatch.setattr(CostAccounting, "trace_limit", 3)
+        reports["jit, tiny buffer"] = program.run(
+            "run", [RAJA_N], engine="jit").report
+        region = {engine: (r.parallel_cycles, r.parallel_dram_bytes,
+                           r.serial_cycles)
+                  for engine, r in reports.items()}
+        assert len(set(region.values())) == 1, region
+        parallel_cycles, parallel_dram, _ = region["legacy"]
+        assert parallel_cycles > 0
+        assert parallel_dram > 0
+        whole = [_whole_report(r) for r in reports.values()]
+        assert all(w == whole[0] for w in whole)
 
 
 DYNAMIC_PREC_SRC = """
@@ -194,6 +236,69 @@ class TestCodegenCacheRoundTrip:
             for engine in (None, "jit", "fast", "legacy")
         }
         assert len(keys) == 4
+
+
+class TestPersistedCodeObjects:
+    """``.vpcgen`` jit records carry the marshalled code object: a warm
+    run loads it instead of compiling the source, and a record it
+    cannot trust falls back to ``compile(source)`` with the same
+    values and report."""
+
+    SOURCE = raja_source("DAXPY", RAJA_FTYPE, openmp=False)
+
+    def _run(self, cache_dir):
+        with telemetry_session(metrics=True) as (_, registry):
+            driver = CompilerDriver(backend="mpfr", cache=str(cache_dir))
+            result = driver.compile(self.SOURCE, "daxpy").run(
+                "run", [RAJA_N])
+        return result, registry
+
+    def _jit_records(self, cache_dir):
+        (path,) = cache_dir.glob("*.vpcgen")
+        payload = json.loads(path.read_text())
+        records = [r for r in payload["functions"].values()
+                   if r["status"] == "jit"]
+        assert records
+        return path, payload, records
+
+    def test_warm_run_loads_code_objects(self, tmp_path):
+        cold, cold_metrics = self._run(tmp_path)
+        _, _, records = self._jit_records(tmp_path)
+        for record in records:
+            assert record["magic"] == MAGIC_NUMBER.hex()
+            assert isinstance(record["code"], str)
+        assert cold_metrics.counter("codegen.code.compiled") == \
+            len(records)
+        assert cold_metrics.counter("codegen.code.loaded") == 0
+        warm, warm_metrics = self._run(tmp_path)
+        assert warm_metrics.counter("codegen.code.loaded") == len(records)
+        assert warm_metrics.counter("codegen.code.compiled") == 0
+        assert warm.value == cold.value
+        assert _whole_report(warm.report) == _whole_report(cold.report)
+
+    @pytest.mark.parametrize("reason, tamper", [
+        ("magic", lambda record: record.update(magic="00000000")),
+        ("magic", lambda record: record.pop("magic")),
+        ("garbled", lambda record: record.update(code="not hex")),
+        ("garbled", lambda record: record.update(
+            code=record["code"][:len(record["code"]) // 4 * 2])),
+        ("not-code", lambda record: record.update(
+            code=marshal.dumps(("not", "code")).hex())),
+    ])
+    def test_untrusted_code_falls_back_to_source(self, tmp_path, reason,
+                                                 tamper):
+        cold, _ = self._run(tmp_path)
+        path, payload, records = self._jit_records(tmp_path)
+        for record in records:
+            tamper(record)
+        path.write_text(json.dumps(payload))
+        warm, metrics = self._run(tmp_path)
+        assert metrics.counter(f"codegen.code.rejected.{reason}") == \
+            len(records)
+        assert metrics.counter("codegen.code.compiled") == len(records)
+        assert metrics.counter("codegen.code.loaded") == 0
+        assert warm.value == cold.value
+        assert _whole_report(warm.report) == _whole_report(cold.report)
 
 
 class TestEngineSelection:

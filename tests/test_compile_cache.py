@@ -293,6 +293,19 @@ double f(int n) {
         assert cache.stats.errors >= 1
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("code", 1234), ("code", ["00"]), ("magic", 3),
+    ])
+    def test_non_string_code_or_magic_rejected(self, field, value):
+        from repro.core.cache import _codegen_payload_ok
+
+        record = {"status": "jit", "source": "x = 1", "reason": None,
+                  "code": "00", "magic": "00"}
+        assert _codegen_payload_ok({"functions": {"f": record}})
+        record[field] = value
+        assert not _codegen_payload_ok({"functions": {"f": record}})
+
+
 class TestDiskEviction:
     """Size-bounded disk tier: LRU eviction honours ``max_disk_bytes``
     without ever breaking the bit-identical-recompile contract."""

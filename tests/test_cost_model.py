@@ -1,6 +1,8 @@
 """Cost model: cache simulation, cycle costs, OpenMP roofline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.cost_model import (
     ALLOCATOR_CONTENTION_CYCLES,
@@ -56,6 +58,149 @@ class TestCacheModel:
         for i in range(10):
             cache.access("r", i * 4096, 8)
         assert cache.dram_bytes == 10 * 64
+
+    def test_level_smaller_than_a_line_rejected(self):
+        with pytest.raises(ValueError, match="at least one line"):
+            CacheModel(levels=(CacheLevel("L1", 32, 64, 4),))
+
+
+class _ReferenceLRU:
+    """Per-access inclusive LRU, written independently of CacheModel:
+    each level is a list of line addresses, least recent first."""
+
+    def __init__(self, levels, dram_cycles):
+        self.levels = levels
+        self.dram_cycles = dram_cycles
+        self.line = levels[0].line_bytes
+        self.sets = [[] for _ in levels]
+        self.limits = [lv.capacity_bytes // lv.line_bytes for lv in levels]
+        self.hits = [0] * len(levels)
+        self.misses = 0
+        self.cycles = 0
+
+    def access(self, addr, nbytes):
+        first = addr // self.line
+        last = max(first, (addr + nbytes - 1) // self.line)
+        for line in range(first, last + 1):
+            found = next((i for i, lines in enumerate(self.sets)
+                          if line in lines), len(self.levels))
+            if found < len(self.levels):
+                self.sets[found].remove(line)
+                self.sets[found].append(line)
+                self.hits[found] += 1
+                self.cycles += self.levels[found].hit_cycles
+            else:
+                self.misses += 1
+                self.cycles += self.dram_cycles
+            for upper in range(found):
+                self.sets[upper].append(line)
+                if len(self.sets[upper]) > self.limits[upper]:
+                    self.sets[upper].pop(0)
+
+
+@st.composite
+def _geometries(draw):
+    """1-3 levels of 1-6 lines each, small enough to force evictions."""
+    line = draw(st.sampled_from((8, 16, 64)))
+    depth = draw(st.integers(1, 3))
+    return tuple(
+        CacheLevel(f"L{i + 1}", line * draw(st.integers(1, 6)), line,
+                   draw(st.integers(1, 50)))
+        for i in range(depth))
+
+
+#: Addresses from a few lines' worth of memory, so lines are reused.
+_accesses = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(0, 100)),
+    max_size=120)
+
+
+class TestTraceReplay:
+    """Buffered replay must match per-access simulation exactly, at
+    every sync point: the trace changes when the model runs, never what
+    it computes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(levels=_geometries(), accesses=_accesses,
+           dram_cycles=st.integers(60, 300),
+           trace_limit=st.integers(1, 40),
+           sync_at=st.sets(st.integers(0, 119)))
+    def test_matches_per_access_reference(self, levels, accesses,
+                                          dram_cycles, trace_limit,
+                                          sync_at):
+        acct = CostAccounting()
+        acct.cache = CacheModel(levels=levels, dram_cycles=dram_cycles)
+        acct.trace_limit = trace_limit
+        reference = _ReferenceLRU(levels, dram_cycles)
+        for i, (addr, nbytes) in enumerate(accesses):
+            acct.memory_access("r", addr, nbytes)
+            reference.access(addr, nbytes)
+            if i in sync_at:
+                acct.sync()
+                assert acct.report.cycles == reference.cycles
+                assert acct.cache.hits == reference.hits
+        report = acct.finalize()
+        assert report.cycles == reference.cycles
+        assert list(report.cache_hits) == reference.hits
+        assert report.llc_misses == reference.misses
+        assert report.dram_bytes == reference.misses * levels[0].line_bytes
+        assert not acct.trace
+
+    @settings(max_examples=50, deadline=None)
+    @given(levels=_geometries(), accesses=_accesses)
+    def test_access_is_one_pair_replay(self, levels, accesses):
+        one = CacheModel(levels=levels)
+        batch = CacheModel(levels=levels)
+        cycles = sum(one.access("r", addr, nbytes)
+                     for addr, nbytes in accesses)
+        assert batch.replay(accesses) == cycles
+        assert (batch.hits, batch.misses_to_dram, batch.dram_bytes) == \
+            (one.hits, one.misses_to_dram, one.dram_bytes)
+
+    def test_straddling_access_moves_the_mru_line(self):
+        cache = CacheModel(levels=(CacheLevel("L1", 128, 64, 4),))
+        cache.replay([(0, 8),      # line 0
+                      (120, 16),   # lines 1 and 2: evicts line 0
+                      (0, 8)])     # line 0 again: a miss, not an MRU hit
+        assert cache.misses_to_dram == 4
+        assert cache.hits == [0]
+
+    def test_memory_appends_to_the_accounting_trace(self):
+        from repro.runtime.memory import Memory
+
+        acct = CostAccounting()
+        memory = Memory(acct)
+        addr = memory.alloc_stack(16)
+        memory.store(addr, 1.5, 8)
+        memory.load(addr, 8)
+        assert acct.trace == [(addr, 8), (addr, 8)]
+        assert acct.report.cycles == 0
+        acct.sync()
+        assert acct.trace == []
+        assert acct.report.cycles == 200 + 4  # DRAM miss, then L1 hit
+
+    def test_trace_limit_bounds_the_buffer(self):
+        from repro.runtime.memory import Memory
+
+        acct = CostAccounting()
+        acct.trace_limit = 8
+        memory = Memory(acct)
+        addr = memory.alloc_heap(1024)
+        for i in range(100):
+            memory.store(addr + 8 * i, i, 8)
+            assert len(acct.trace) < 8
+
+    def test_parallel_region_sees_buffered_accesses(self):
+        acct = CostAccounting()
+        acct.memory_access("w", 0x1000, 8)       # serial: one miss
+        acct.parallel_begin()
+        acct.memory_access("r", 0x2000, 8)       # parallel: one miss
+        acct.memory_access("r", 0x2000, 8)       # parallel: L1 hit
+        acct.parallel_end()
+        report = acct.finalize()
+        assert report.parallel_cycles == 200 + 4
+        assert report.parallel_dram_bytes == 64
+        assert report.serial_cycles == 200 + acct.costs.omp_fork_join
 
 
 class TestCycleCosts:

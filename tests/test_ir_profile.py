@@ -16,6 +16,7 @@ from repro.observability.profile import (
     profile_run,
     sample_jit_run,
 )
+from repro.runtime.cost_model import CostAccounting
 from repro.workloads.polybench import source_for
 
 MPFR = "vpfloat<mpfr, 16, 128>"
@@ -37,6 +38,24 @@ def test_exact_attribution_sums_to_report_total(kernel, n):
     # ... and hooking did not perturb the model.
     assert profile.total_cycles == reference.report.cycles
     assert int(profile.result.value) == int(reference.value)
+
+
+def test_profiles_independent_of_trace_buffering(monkeypatch):
+    # A one-entry trace buffer replays every memory access as it
+    # happens; the profilers' syncs must attribute the same cycles to
+    # each instruction and builtin as with the default buffer.
+    program = _compile("gemm")
+
+    def attribution():
+        exact = profile_run(program, "run", [6])
+        builtins = program.run("run", [6], engine="fast",
+                               profile=True).profile
+        return ({key: row[:2] for key, row in exact.records.items()},
+                builtins.builtin_cycles)
+
+    buffered = attribution()
+    monkeypatch.setattr(CostAccounting, "trace_limit", 1)
+    assert attribution() == buffered
 
 
 def test_exact_profile_attributes_real_opcodes():

@@ -356,6 +356,17 @@ class TestCodegenSummary:
         assert "jit" in lines["run"]
         assert "jit" in lines["scale"]
 
+    def test_reports_how_code_objects_were_obtained(self):
+        text = render_codegen_summary({"counters": {
+            "codegen.fn.run.jit": 1,
+            "codegen.fn.scale.jit": 1,
+            "codegen.code.loaded": 1,
+            "codegen.code.compiled": 1,
+            "codegen.code.rejected.magic": 1,
+        }})
+        assert ("code objects: 1 loaded, 1 compiled (rejected: magic 1)"
+                in text.splitlines()[0])
+
     def test_empty_without_codegen_counters(self):
         assert render_codegen_summary({"counters": {"x": 1}}) == ""
 
