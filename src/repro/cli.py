@@ -75,11 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print opcode/builtin/pool/pass-time profile "
                              "after --run")
     parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="execution engine (default: 'jit' for the "
-                             "mpfr backend, else 'fast'; 'jit' compiles "
-                             "IR functions to specialized Python source, "
-                             "'fast' runs precompiled closure tables, "
-                             "'legacy' is the reference tree walker)")
+                        help="execution engine (default: 'jit', which "
+                             "compiles IR functions to specialized Python "
+                             "source; 'legacy' is the reference tree "
+                             "walker, which also runs what the jit "
+                             "refuses and every --profile run)")
     parser.add_argument("--no-pool", action="store_true",
                         help="disable the runtime MPFR object pool")
     parser.add_argument("--batch", type=int, default=None, metavar="N",

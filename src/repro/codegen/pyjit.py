@@ -1,28 +1,30 @@
 """Per-function Python-source codegen: the ``jit`` execution engine.
 
-The closure-table engine (:mod:`repro.runtime.dispatch`) pays one Python
-call plus several frame-dict operations per executed IR instruction.
-This module removes both: :class:`FunctionEmitter` translates one IR
-function into straight-line Python source with every SSA value
-register-allocated to a Python local, constant-attribute vpfloat
-precisions / rounding modes / guard bits baked into the emitted text,
-the :mod:`repro.bigfloat.arith` integer-mantissa kernels inlined (via
-:mod:`repro.codegen.kernels`) for the constant-precision ``RNDN`` case,
-and all statically-known cycle charges of a basic block folded into one
-bulk ``report.charge(category, total)`` per category.
+The legacy walker (:meth:`repro.runtime.Interpreter._call_legacy`) pays
+an isinstance ladder plus several frame-dict operations per executed IR
+instruction.  This module removes both: :class:`FunctionEmitter`
+translates one IR function into straight-line Python source with every
+SSA value register-allocated to a Python local, constant-attribute
+vpfloat precisions / rounding modes / guard bits baked into the emitted
+text, the :mod:`repro.bigfloat.arith` integer-mantissa kernels inlined
+(via :mod:`repro.codegen.kernels`) for the constant-precision ``RNDN``
+case, and all statically-known cycle charges of a basic block folded
+into one bulk ``report.charge(category, total)`` per category.
 
-Observable semantics are bit-identical with the closure engines for any
+Observable semantics are bit-identical with the legacy walker for any
 function the emitter accepts: the same cycles land in the same
 categories, the same memory traffic reaches the cache model, runtime
 builtins run through the interpreter's *installed* handlers (so MPFR
 pool sampling, registry variants and error text are shared, not
 re-implemented), and runtime errors keep their exact types and
-messages.  Anything the emitter cannot prove static -- dynamic vpfloat
-attributes, posit arithmetic, unknown builtins, dynamically-sized
-element types, non-static GEPs -- raises :class:`_Unsupported` during
-emission and that one *function* silently falls back to the
-closure-table engine; jit selection is per-function, never a hard
-error.
+messages.  Literals whose vpfloat attributes are runtime values (the
+mpfr and boost lowerings of paper Listing 4 code) are rounded at those
+values as they execute.  Anything else the emitter cannot prove static
+-- native vpfloat arithmetic at runtime attributes, posit arithmetic,
+unknown builtins, dynamically-sized element types, non-static GEPs --
+raises :class:`_Unsupported` during emission and that one *function*
+silently falls back to the legacy walker; jit selection is
+per-function, never a hard error.
 
 Generated source is self-contained: it defines ``_make(R)`` where ``R``
 is a :class:`JitRuntime` bound to one (interpreter, function) pair, and
@@ -99,12 +101,6 @@ _UNSIGNED_CMPS = {"ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
 #: step stream; _emit_block replaces it with the next charge segment.
 _FLUSH_MARKER = "#__vpjit_charge_flush__"
 
-#: IR-location tag line: everything after it (until the next tag) came
-#: from that (block, instruction index, opcode).  Stripped from the
-#: final source by emit(), which turns the tags into a line map -- the
-#: substrate the IR profiler's wall-clock sampler resolves emitted
-#: frames against (see repro.observability.profile).
-_LOC_MARKER = "#__vpjit_loc__"
 
 #: ``<vpjit:{function}>`` code filename -> line map of the most recent
 #: materialization, for resolving sampled frames back to IR locations.
@@ -115,9 +111,14 @@ _LOC_MARKER = "#__vpjit_loc__"
 LINE_MAPS: Dict[str, Dict[int, tuple]] = {}
 
 
-def _loc_tag(block: str, ii: Optional[int], opcode: Optional[str]) -> str:
-    return (f"{_LOC_MARKER}{block}\x00"
-            f"{'' if ii is None else ii}\x00{opcode or ''}")
+def _loc_tag(block: str, ii: Optional[int], opcode: Optional[str]) -> tuple:
+    """IR-location tag, placed in an emitter's line lists: every line
+    after it (until the next tag) came from that (block, instruction
+    index, opcode).  emit() drops the tags from the source and turns
+    them into a line map -- the substrate the IR profiler's wall-clock
+    sampler resolves emitted frames against (see
+    repro.observability.profile)."""
+    return (block, ii, opcode)
 
 #: MPFR runtime builtins inlined at their call sites (name -> arity).
 _MPFR_INLINE = {
@@ -218,9 +219,13 @@ class JitRuntime:
         """The live instruction object at (block, instruction) index."""
         return self._inst(bi, ii)
 
+    def operand(self, bi: int, ii: int, oi: int):
+        """Operand ``oi`` of instruction (bi, ii) itself, unresolved."""
+        return self._inst(bi, ii).operands[oi]
+
     def const(self, bi: int, ii: int, oi: int):
         """Resolve operand ``oi`` of instruction (bi, ii) frame-free,
-        with the closure engine's getter semantics."""
+        with the legacy walker's constant semantics."""
         return self._resolve(self._inst(bi, ii).operands[oi])
 
     def default(self, bi: int, ii: int):
@@ -358,7 +363,11 @@ _lbc = {}
 _trace = _acct.trace
 _tpush = _trace.append
 _TLIM = _acct.trace_limit
-_tsync = _acct.sync"""
+_tsync = _acct.sync
+_vcst = _interp._mpfr_constant"""
+
+
+_PRELUDE_LINES = _PRELUDE.splitlines()
 
 
 class FunctionEmitter:
@@ -378,6 +387,10 @@ class FunctionEmitter:
         self._builtin_refs: Dict[str, str] = {}
         self._kernel_refs: Dict[Tuple[str, int, Optional[int]], str] = {}
         self._mpfr_map_refs: Dict[str, str] = {}
+        #: builtin name -> per-module helper name, and the helpers'
+        #: source (see _emit_mpfr_builtin).
+        self._mpfr_helpers: Dict[str, str] = {}
+        self._helper_lines: List[str] = []
         self._default_refs: Dict[int, str] = {}
         # Current block accumulators.  Charges are bulk-counted per
         # block but flushed into *segments* at OpenMP region markers so
@@ -412,8 +425,8 @@ class FunctionEmitter:
             try:
                 self.interp.vp_config(type_, None)
             except Exception:
-                # Statically invalid attrs: fall back so the closure
-                # engine surfaces the validation error at execution.
+                # Statically invalid attrs: fall back so the legacy
+                # walker surfaces the validation error at execution.
                 return False
             return True
         if isinstance(type_, ArrayType):
@@ -440,7 +453,7 @@ class FunctionEmitter:
             return self._pool(v, bi, ii, oi)
         if isinstance(v, ConstantVPFloat):
             if not self._vp_static_ok(v.type):
-                raise _Unsupported("dynamic vpfloat constant")
+                return self._dynamic_constant(v, bi, ii, oi)
             return self._pool(v, bi, ii, oi)
         if isinstance(v, UndefValue):
             try:
@@ -451,6 +464,28 @@ class FunctionEmitter:
         if isinstance(v, (Constant, GlobalVariable, Function)):
             return self._pool(v, bi, ii, oi)
         raise _Unsupported(f"unsupported operand {type(v).__name__}")
+
+    def _dynamic_constant(self, v, bi: int, ii: int, oi: int) -> str:
+        """A vpfloat literal whose attributes are SSA values: rounded at
+        their current values on every evaluation (memoized per
+        constant and precision by the interpreter, which also raises
+        the walker's error for out-of-range attributes)."""
+        if v.type.format != "mpfr":
+            raise _Unsupported("dynamic vpfloat constant")
+        attrs = []
+        for attr in (v.type.exp_attr, v.type.prec_attr):
+            if isinstance(attr, ConstantInt):
+                attrs.append(repr(attr.value))
+            elif id(attr) in self.names:
+                attrs.append(f"int({self.names[id(attr)]})")
+            else:
+                raise _Unsupported("dynamic vpfloat constant")
+        name = self.pool.get(id(v))
+        if name is None:
+            name = f"k{len(self.pool)}"
+            self.pool[id(v)] = name
+            self.prelude.append(f"{name} = R.operand({bi}, {ii}, {oi})")
+        return f"_vcst({name}, {attrs[0]}, {attrs[1]})"
 
     def _pool(self, v, bi: int, ii: int, oi: int) -> str:
         name = self.pool.get(id(v))
@@ -567,56 +602,56 @@ class FunctionEmitter:
             "",
             "def _make(R):",
         ]
-        for line in _PRELUDE.splitlines():
-            out.append("    " + line)
-        for line in self.prelude:
-            out.append("    " + line)
-        for line in charge_defs:
-            out.append("    " + line)
-        out.append("")
-        out.append(f"    def _fn({params}):")
-        out.append(_loc_tag("<fn>", None, None))
-        out.append('        _chg("call", _c_call)')
-        out.append("        _mark = _smark()")
-        out.append(f"        _bb = {entry_index}")
+        # 1-based line of the final source -> (block, inst index,
+        # opcode), from the location tags in the line lists.
+        line_map: Dict[int, tuple] = {}
+        current: Optional[tuple] = None
+
+        def put(indent: str, lines) -> None:
+            nonlocal current
+            for line in lines:
+                if line.__class__ is tuple:
+                    current = line
+                    continue
+                out.append(indent + line if line else "")
+                if current is not None:
+                    line_map[len(out)] = current
+
+        put("    ", _PRELUDE_LINES)
+        put("    ", self.prelude)
+        put("    ", charge_defs)
+        put("    ", self._helper_lines)
         # Hot-block attribution for traced runs: the traced call path
         # installs a counts dict on the interpreter for the duration of
         # the call; untraced runs pay one None-check per block.
-        out.append("        _cnt = _interp._block_counts")
-        out.append("        while True:")
+        put("    ", ["",
+                     f"def _fn({params}):",
+                     _loc_tag("<fn>", None, None),
+                     '    _chg("call", _c_call)',
+                     "    _mark = _smark()",
+                     f"    _bb = {entry_index}",
+                     "    _cnt = _interp._block_counts",
+                     "    while True:"])
         for bi, lines in enumerate(block_chunks):
-            kw = "if" if bi == 0 else "elif"
             name = blocks[bi].name
-            out.append(_loc_tag(name, None, None))
-            out.append(f"            {kw} _bb == {bi}:")
-            out.append("                if _cnt is not None:")
-            out.append(f"                    _cnt[{name!r}] = "
-                       f"_cnt.get({name!r}, 0) + 1")
-            for line in lines:
-                out.append("                " + line)
-        out.append("            else:")
-        out.append('                raise _VPR("vpjit: unknown block id")')
-        out.append("")
-        out.append("    return _fn")
-        out.append("")
-        # Strip the location tags, turning them into a line map of the
-        # final source (1-based line -> (block, inst index, opcode)).
-        filtered: List[str] = []
-        line_map: Dict[int, tuple] = {}
-        current: Optional[tuple] = None
-        for line in out:
-            stripped = line.lstrip()
-            if stripped.startswith(_LOC_MARKER):
-                block_name, ii, opcode = \
-                    stripped[len(_LOC_MARKER):].split("\x00")
-                current = (block_name, int(ii) if ii else None,
-                           opcode or None)
-                continue
-            filtered.append(line)
-            if current is not None and stripped:
-                line_map[len(filtered)] = current
+            put("            ", [_loc_tag(name, None, None),
+                                 f"{'if' if bi == 0 else 'elif'} "
+                                 f"_bb == {bi}:",
+                                 "    if _cnt is not None:",
+                                 f"        _cnt[{name!r}] = "
+                                 f"_cnt.get({name!r}, 0) + 1"])
+            put("                ", lines)
+            # Drop each chunk once copied: the unindented lines and
+            # the final ones are never all alive at once.
+            block_chunks[bi] = None
+        current = None
+        put("    ", ["        else:",
+                     '            raise _VPR("vpjit: unknown block id")',
+                     "",
+                     "return _fn",
+                     ""])
         self.line_map = line_map
-        return "\n".join(filtered)
+        return "\n".join(out)
 
     # ---- blocks -------------------------------------------------- #
 
@@ -1055,7 +1090,11 @@ class FunctionEmitter:
         if not self._vp_static_ok(inst.type):
             raise _Unsupported("dynamic vpfloat call result")
         for operand in inst.operands:
-            if not self._vp_static_ok(operand.type):
+            # Dynamic literals are rounded in place (see ref); any other
+            # dynamic-typed operand may reach a handler that resolves
+            # its type, which needs the frame the jit does not keep.
+            if not (isinstance(operand, ConstantVPFloat)
+                    or self._vp_static_ok(operand.type)):
                 raise _Unsupported("dynamic vpfloat call operand")
         args = [self.ref(a, bi, ii, i)
                 for i, a in enumerate(inst.operands)]
@@ -1070,10 +1109,14 @@ class FunctionEmitter:
         if bname not in self.interp._builtins:
             raise _Unsupported(f"unknown builtin {bname}")
         if bname in _MPFR_INLINE and len(args) == _MPFR_INLINE[bname]:
-            self._emit_mpfr_builtin(inst, bname, args, bi, ii, out)
+            self._emit_mpfr_builtin(inst, bname, args, out)
             return
         handler = self._builtin_ref(bname)
-        handle = self._inst_ref(inst, bi, ii)
+        # Only the vpfloat math family reads its call instruction (for
+        # the result type); every other handler gets None, as it does
+        # from Interpreter.call_function.
+        handle = self._inst_ref(inst, bi, ii) if bname.startswith("vp.") \
+            else "None"
         out.append(f"{name} = {handler}([{', '.join(args)}], "
                    f"{handle}, None)")
         if bname in ("__omp_parallel_begin", "__omp_parallel_end"):
@@ -1093,113 +1136,74 @@ class FunctionEmitter:
     # handlers (interpreter._install_mpfr_builtins) and the backing
     # MpfrLibrary methods, with the call layers flattened and the
     # generic arith kernel replaced by the precision-specialized one.
-    # Every cold or failing case (uninitialized handle, use after
-    # clear) delegates to the installed handler so error types and
-    # messages stay byte-identical.
+    # Each body is emitted once per module, as a helper nested in
+    # ``_make`` that every call site of that builtin calls.  Every cold
+    # or failing case (uninitialized handle, use after clear) delegates
+    # to the installed handler so error types and messages stay
+    # byte-identical (these handlers never read their ``inst``).
 
-    def _emit_touch(self, out, reads: List[str], write: str) -> None:
-        for var in reads:
-            out.append(f"    _pv = {var}.prec")
-            out.append("    _nb = _lbc.get(_pv)")
-            out.append("    if _nb is None:")
-            out.append("        _nb = _lbytes(_pv)")
-            out.append("        _lbc[_pv] = _nb")
-            out.append(f"    _tpush(({var}.limb_addr, _nb))")
-        out.append("    _nb = _lbc.get(_p)")
-        out.append("    if _nb is None:")
-        out.append("        _nb = _lbytes(_p)")
-        out.append("        _lbc[_p] = _nb")
-        out.append(f"    _tpush(({write}.limb_addr, _nb))")
-        out.append("    if len(_trace) >= _TLIM:")
-        out.append("        _tsync()")
+    def _emit_mpfr_builtin(self, inst, bname, args, out) -> None:
+        helper = self._mpfr_helpers.get(bname)
+        if helper is None:
+            helper = f"_b{len(self._mpfr_helpers)}"
+            self._mpfr_helpers[bname] = helper
+            self._helper_lines.extend(self._mpfr_helper(helper, bname))
+        out.append(f"{self.names[id(inst)]} = {helper}({', '.join(args)})")
 
-    def _emit_mpfr_charge(self, out, call_name: str) -> None:
-        out.append("    _rep.mpfr_calls += 1")
-        out.append(f"    _cy = _mcc.get(({call_name!r}, _p))")
-        out.append("    if _cy is None:")
-        out.append(f"        _cy = _mopc({call_name!r}, _p)")
-        out.append(f"        _mcc[({call_name!r}, _p)] = _cy")
-        out.append("    _rep.cycles += _cy")
-        out.append('    _bcat["mpfr"] += _cy')
-        out.append("    if _MET:")
-        out.append('        _obs("precision.mpfr.bits", _p)')
-
-    def _emit_mpfr_builtin(self, inst, bname, args, bi, ii, out) -> None:
-        name = self.names[id(inst)]
-        handler = self._builtin_ref(bname)
-        handle = self._inst_ref(inst, bi, ii)
-        delegate = (f"    {name} = {handler}([{', '.join(args)}], "
-                    f"{handle}, None)")
+    def _mpfr_helper(self, helper: str, bname: str) -> List[str]:
         op = bname[5:]  # mpfr_<op>
-        if op in ("add", "sub", "mul", "div"):
-            kmap = self._mpfr_map_ref(op)
-            out.append(f"_x = _ml(int({args[0]}), 8)")
-            out.append(f"_y = _ml(int({args[1]}), 8)")
-            out.append(f"_z = _ml(int({args[2]}), 8)")
-            out.append("if (_x is None or _y is None or _z is None or "
-                       "not (_x.alive and _y.alive and _z.alive)):")
-            out.append(delegate)
-            out.append("else:")
-            out.append("    _p = _x.prec")
+        params = [f"a{i}" for i in range(_MPFR_INLINE[bname])]
+        handles = ["_x", "_y", "_z", "_w"][:1 if op in ("set_d", "set_si")
+                                           else len(params)]
+        lines = [f"def {helper}({', '.join(params)}):"]
+        for var, param in zip(handles, params):
+            lines.append(f"    {var} = _ml(int({param}), 8)")
+        none = " or ".join(f"{var} is None" for var in handles)
+        alive = " and ".join(f"{var}.alive" for var in handles)
+        lines.append(f"    if {none} or not ({alive}):")
+        lines.append(f"        return {self._builtin_ref(bname)}"
+                     f"([{', '.join(params)}], None, None)")
+        lines.append("    _p = _x.prec")
+        if op in ("add", "sub", "mul", "div", "fma", "fms"):
             # Fused kernel with the destination handle's exponent-range
             # clamp folded in (scalar and batch); no per-call clamp.
-            out.append(f"    _x.value = {kmap}[_p, _x.exp_bits]"
-                       "(_y.value, _z.value)")
-            out.append("    _mstats.ops += 1")
-            out.append(f"    _mbump({bname!r})")
-            self._emit_touch(out, ["_y", "_z"], "_x")
-            self._emit_mpfr_charge(out, bname)
-            out.append(f"    {name} = None")
-        elif op in ("fma", "fms"):
-            kmap = self._mpfr_map_ref(op)
-            out.append(f"_x = _ml(int({args[0]}), 8)")
-            out.append(f"_y = _ml(int({args[1]}), 8)")
-            out.append(f"_z = _ml(int({args[2]}), 8)")
-            out.append(f"_w = _ml(int({args[3]}), 8)")
-            out.append("if (_x is None or _y is None or _z is None or "
-                       "_w is None or not (_x.alive and _y.alive and "
-                       "_z.alive and _w.alive)):")
-            out.append(delegate)
-            out.append("else:")
-            out.append("    _p = _x.prec")
-            out.append(f"    _x.value = {kmap}[_p, _x.exp_bits]"
-                       "(_y.value, _z.value, _w.value)")
-            out.append("    _mstats.ops += 1")
-            out.append(f"    _mbump({bname!r})")
-            self._emit_touch(out, ["_y", "_z", "_w"], "_x")
-            self._emit_mpfr_charge(out, bname)
-            out.append(f"    {name} = None")
+            operands = ", ".join(f"{var}.value" for var in handles[1:])
+            lines.append(f"    _x.value = {self._mpfr_map_ref(op)}"
+                         f"[_p, _x.exp_bits]({operands})")
+            lines.append("    _mstats.ops += 1")
         elif op == "set":
-            out.append(f"_x = _ml(int({args[0]}), 8)")
-            out.append(f"_y = _ml(int({args[1]}), 8)")
-            out.append("if (_x is None or _y is None or "
-                       "not (_x.alive and _y.alive)):")
-            out.append(delegate)
-            out.append("else:")
-            out.append("    _p = _x.prec")
-            out.append("    _x.value = _y.value.round_to(_p)")
-            out.append("    _mstats.sets += 1")
-            out.append('    _mbump("mpfr_set")')
-            self._emit_touch(out, ["_y"], "_x")
-            self._emit_mpfr_charge(out, "mpfr_set")
-            out.append(f"    {name} = None")
+            lines.append("    _x.value = _y.value.round_to(_p)")
+            lines.append("    _mstats.sets += 1")
         else:  # set_d / set_si
-            ctor = "from_float" if op == "set_d" else "from_int"
-            out.append(f"_x = _ml(int({args[0]}), 8)")
-            out.append("if _x is None or not _x.alive:")
-            out.append(delegate)
-            out.append("else:")
-            out.append("    _p = _x.prec")
             if self.batch:
-                bcast = "_bfromf" if op == "set_d" else "_bfromi"
-                out.append(f"    _x.value = {bcast}({args[1]}, _p)")
+                ctor = "_bfromf" if op == "set_d" else "_bfromi"
             else:
-                out.append(f"    _x.value = _BF.{ctor}({args[1]}, _p)")
-            out.append("    _mstats.sets += 1")
-            out.append(f"    _mbump({bname!r})")
-            self._emit_touch(out, [], "_x")
-            self._emit_mpfr_charge(out, bname)
-            out.append(f"    {name} = None")
+                ctor = "_BF.from_float" if op == "set_d" \
+                    else "_BF.from_int"
+            lines.append(f"    _x.value = {ctor}(a1, _p)")
+            lines.append("    _mstats.sets += 1")
+        lines.append(f"    _mbump({bname!r})")
+        # Limb traffic: the sources are read, then the destination is
+        # written (the installed handlers' touch_limbs order).
+        for var in handles[1:] + ["_x"]:
+            lines.append(f"    _pv = {var}.prec")
+            lines.append("    _nb = _lbc.get(_pv)")
+            lines.append("    if _nb is None:")
+            lines.append("        _nb = _lbytes(_pv)")
+            lines.append("        _lbc[_pv] = _nb")
+            lines.append(f"    _tpush(({var}.limb_addr, _nb))")
+        lines.append("    if len(_trace) >= _TLIM:")
+        lines.append("        _tsync()")
+        lines.append("    _rep.mpfr_calls += 1")
+        lines.append(f"    _cy = _mcc.get(({bname!r}, _p))")
+        lines.append("    if _cy is None:")
+        lines.append(f"        _cy = _mopc({bname!r}, _p)")
+        lines.append(f"        _mcc[({bname!r}, _p)] = _cy")
+        lines.append("    _rep.cycles += _cy")
+        lines.append('    _bcat["mpfr"] += _cy')
+        lines.append("    if _MET:")
+        lines.append('        _obs("precision.mpfr.bits", _p)')
+        return lines
 
 
 def emit_function_source(interp, func: Function
@@ -1246,7 +1250,9 @@ class CodegenStore:
     sidecar when the program came through the compile cache, so warm
     processes skip re-emission and recompilation entirely; otherwise
     purely in-memory (still skipping both across runs of one program
-    object).  Code objects are memoized in-process in :attr:`codes`.
+    object).  Code objects and line maps are held in-process in
+    :attr:`codes` and :attr:`line_maps`, outside the records: the
+    sidecar's text forms of both exist only while it is written.
     """
 
     def __init__(self, cache=None, key: Optional[str] = None):
@@ -1254,6 +1260,7 @@ class CodegenStore:
         self.key = key
         self.records: Dict[str, dict] = {}
         self.codes: Dict[str, CodeType] = {}
+        self.line_maps: Dict[str, Dict[int, tuple]] = {}
         self._loaded = False
 
     def _load(self) -> None:
@@ -1284,19 +1291,17 @@ class CodegenStore:
         self._load()
         self.records.pop(name, None)
         self.codes.pop(name, None)
+        self.line_maps.pop(name, None)
 
     def record(self, name: str, status: str, reason: Optional[str] = None,
                source: Optional[str] = None,
                line_map: Optional[Dict[int, tuple]] = None,
                code: Optional[CodeType] = None) -> None:
         self._load()
-        entry = {"status": status, "reason": reason, "source": source}
+        self.records[name] = {"status": status, "reason": reason,
+                              "source": source}
         if line_map:
-            # JSON sidecars stringify keys; store them that way from
-            # the start so warm and fresh records look identical.
-            entry["line_map"] = {str(lineno): list(loc)
-                                 for lineno, loc in line_map.items()}
-        self.records[name] = entry
+            self.line_maps[name] = line_map
         if code is not None:
             self.codes[name] = code
         if self.cache is not None and self.key is not None:
@@ -1307,14 +1312,19 @@ class CodegenStore:
             })
 
     def _persisted(self, name: str, record: dict) -> dict:
-        """``record`` as written to the sidecar: with the marshalled
-        code object when one is in hand.  Only the sidecar holds the
-        hex text, so a long-lived store keeps one copy of each code
-        object, not two."""
+        """``record`` as written to the sidecar: with its line map
+        (JSON stringifies the line numbers) and the marshalled code
+        object when they are in hand."""
+        extra = {}
+        line_map = self.line_maps.get(name)
+        if line_map:
+            extra["line_map"] = {str(lineno): list(loc)
+                                 for lineno, loc in line_map.items()}
         code = self.codes.get(name)
-        if code is None:
-            return record
-        return dict(record, code=marshal.dumps(code).hex(), magic=_MAGIC)
+        if code is not None:
+            extra["code"] = marshal.dumps(code).hex()
+            extra["magic"] = _MAGIC
+        return dict(record, **extra) if extra else record
 
     def statuses(self) -> Dict[str, dict]:
         """name -> {status, reason} for everything decided so far."""
@@ -1395,7 +1405,7 @@ class JitEngine:
         else:
             code = store.codes.get(name)
             if code is None:
-                code = self._revive(record, filename)
+                code = self._revive(name, record)
                 if code is None:
                     # A stale or corrupt record: drop it and re-emit.
                     store.forget(name)
@@ -1409,28 +1419,31 @@ class JitEngine:
             entry = namespace["_make"](runtime_cls(interp, func))
         except Exception as e:
             # Bind-time resolution failed (e.g. an invalid constant):
-            # the closure engine reproduces the error at execution.
+            # the legacy walker reproduces the error at execution.
             return (None, "fallback",
                     f"bind failed: {type(e).__name__}", not fresh)
         return entry, "jit", None, not fresh
 
-    def _revive(self, record: dict, filename: str) -> Optional[CodeType]:
+    def _revive(self, name: str, record: dict) -> Optional[CodeType]:
         """The code object of a stored jit record: the persisted one
         when this interpreter can load it, else ``compile(source)``;
         None when the record has no usable source."""
         source = record.get("source")
         if not source:
             return None
-        raw_map = record.get("line_map")
+        filename = f"<vpjit:{name}>"
+        # From here on the store holds the line map and code object,
+        # and the sidecar is re-written from them.
+        raw_map = record.pop("line_map", None)
         if isinstance(raw_map, dict):
-            LINE_MAPS[filename] = {
+            line_map = {
                 int(lineno): tuple(loc)
                 for lineno, loc in raw_map.items()
                 if str(lineno).isdigit() and isinstance(loc, list)
             }
+            LINE_MAPS[filename] = line_map
+            self.store.line_maps[name] = line_map
         code, rejected = _load_code(record)
-        # From here on store.codes holds the code object, and the
-        # sidecar is re-written from it.
         record.pop("code", None)
         record.pop("magic", None)
         metrics = self.interp.metrics

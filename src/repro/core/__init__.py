@@ -15,6 +15,7 @@ machine model).
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -47,7 +48,7 @@ from .cache import CacheStats, CompileCache, as_compile_cache, \
 BACKENDS = ("none", "mpfr", "boost", "unum")
 
 #: Execution engines, fastest first (see README "Execution engines").
-ENGINES = ("jit", "fast", "legacy")
+ENGINES = ("jit", "legacy")
 
 __all__ = [
     "BACKENDS", "CacheStats", "CompileCache", "CompileOptions",
@@ -59,13 +60,12 @@ __all__ = [
 def resolve_engine(engine: Optional[str], backend: str) -> str:
     """Validate / default the execution engine selection.
 
-    ``None`` picks the per-backend default: the specializing ``jit``
-    codegen engine for the mpfr backend (its lowered modules are where
-    the emitted straight-line code pays off most), the closure tables
-    (``fast``) everywhere else.
+    ``None`` picks the specializing ``jit`` on every backend (``legacy``
+    is the reference walker; unum programs run on the UNUM machine
+    model whichever engine is named).
     """
     if engine is None:
-        return "jit" if backend == "mpfr" else "fast"
+        return "jit"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; "
                          f"choose from {ENGINES}")
@@ -127,12 +127,9 @@ class CompiledProgram:
     # ------------------------------------------------------------ #
 
     def _resolve_mode(self, engine: Optional[str]) -> str:
-        """``None`` picks the driver's engine, then the backend default
-        (jit for mpfr)."""
+        """``None`` picks the driver's engine, then the jit."""
         mode = engine if engine is not None else self._default_engine
-        if mode is None:
-            return resolve_engine(None, self.options.backend)
-        return mode
+        return resolve_engine(mode, self.options.backend)
 
     def _codegen_store_for(self, mode: str):
         if mode != "jit":
@@ -181,10 +178,10 @@ class CompiledProgram:
         ``costs`` selects a CycleCosts profile (default: Xeon-calibrated;
         pass ``ROCKET_CYCLE_COSTS`` for the Fig. 2 FPGA baseline).
         ``engine`` picks the execution engine (:data:`ENGINES`;
-        ``None`` means the backend default -- the specializing jit for
-        mpfr, closure tables otherwise).  ``profile``/``pool`` configure
-        the interpreter's observability layer and MPFR object pool
-        (``pool`` defaults per backend: on except for Boost)."""
+        ``None`` means the driver's engine, else the specializing
+        jit).  ``profile``/``pool`` configure the interpreter's
+        observability layer and MPFR object pool (``pool`` defaults per
+        backend: on except for Boost)."""
         accounting = CostAccounting(costs=costs)
         tracer = current_tracer()
         ledger = current_ledger()
@@ -470,10 +467,13 @@ class CompilerDriver:
     def _finish(self, program: CompiledProgram,
                 key: Optional[str] = None,
                 batch_key: Optional[str] = None) -> CompiledProgram:
-        """Attach driver-side execution state to a (possibly cached)
-        program: the default engine and -- in jit mode with a cache --
-        the emitted-source stores (serial + batched, separately keyed)
-        persisting next to the pickle."""
+        """A shallow copy of a (possibly cached) program carrying the
+        driver-side execution state: the default engine and -- in jit
+        mode with a cache -- the emitted-source stores (serial +
+        batched, separately keyed) persisting next to the pickle.  The
+        copy shares the module; the cache's object stays untouched, so
+        its memory tier never keeps a run's jit artifacts alive."""
+        program = copy.copy(program)
         program._default_engine = self.engine
         if self.engine == "jit" and key is not None:
             from ..codegen.pyjit import CodegenStore

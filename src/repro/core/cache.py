@@ -295,7 +295,9 @@ class CompileCache:
                                         suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle)
+                    # One dumps() call: json.dump to a file runs the
+                    # pure-Python encoder, dumps the C one.
+                    handle.write(json.dumps(payload))
                 os.replace(temp, path)
             except BaseException:
                 try:

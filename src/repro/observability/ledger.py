@@ -457,8 +457,10 @@ def compare_ledgers(baseline_records: List[dict],
     regressions: List[Regression] = []
     improvements: List[Regression] = []
     compared = 0
-    skipped = sorted(set(base) ^ set(cand))
-    for key in sorted(set(base) & set(cand)):
+    # Key fields may be None (unum rows have no engine, serial rows no
+    # lane count), which does not order against str/int: sort by text.
+    skipped = sorted(set(base) ^ set(cand), key=repr)
+    for key in sorted(set(base) & set(cand), key=repr):
         for metric, b_samples in sorted(base[key].items()):
             c_samples = cand[key].get(metric)
             if not c_samples:

@@ -294,6 +294,12 @@ class _Sampler(threading.Thread):
             path: List[str] = []
             while frame is not None:
                 filename = frame.f_code.co_filename
+                if filename.startswith("<vpjit:") and \
+                        frame.f_code.co_name != "_fn":
+                    # A per-module MPFR helper: the call site in its
+                    # caller's body is the IR location.
+                    frame = frame.f_back
+                    continue
                 if filename.startswith("<vpjit:"):
                     line_map = LINE_MAPS.get(filename)
                     loc = line_map.get(frame.f_lineno) \

@@ -21,11 +21,11 @@ from .batch import (
     BatchUnsupported,
     VPBatch,
 )
-from .dispatch import InterpreterProfile
 from .interpreter import (
     ExecutionLimitExceeded,
     ExecutionResult,
     Interpreter,
+    InterpreterProfile,
     VPRuntimeError,
 )
 from .memory import Memory, MemoryError_

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import bigfloat
 from ..bigfloat import BigFloat, MpfrLibrary, RNDN, arith
@@ -78,7 +78,6 @@ from ..observability import (
 from ..unum import UnumConfig, UnumConfigError
 from ..unum.posit import PositConfig, PositConfigError, posit_round
 from .cost_model import CostAccounting
-from .dispatch import CompiledFunction, FunctionCompiler, InterpreterProfile
 from .memory import Memory
 
 
@@ -90,13 +89,47 @@ class ExecutionLimitExceeded(RuntimeError):
     """The step budget ran out (guards against runaway loops)."""
 
 
+class InterpreterProfile:
+    """Execution observability: what ran, and where the cycles went.
+
+    ``opcode_counts`` tallies executed IR instructions by opcode;
+    ``builtin_calls``/``builtin_cycles`` attribute runtime-library work
+    (including MPFR entry points) per builtin name.  Cycle attribution
+    includes the cache-model cycles incurred inside the builtin.  Only
+    the legacy walker collects it: a profiled run executes there.
+    """
+
+    def __init__(self) -> None:
+        self.opcode_counts: Dict[str, int] = {}
+        self.builtin_calls: Dict[str, int] = {}
+        self.builtin_cycles: Dict[str, int] = {}
+
+    def count_opcode(self, opcode: str) -> None:
+        self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + 1
+
+    def record_builtin(self, name: str, cycles: int) -> None:
+        self.builtin_calls[name] = self.builtin_calls.get(name, 0) + 1
+        self.builtin_cycles[name] = self.builtin_cycles.get(name, 0) + cycles
+
+    def hottest_opcodes(self, limit: int = 10) -> List[Tuple[str, int]]:
+        ranked = sorted(self.opcode_counts.items(),
+                        key=lambda kv: kv[1], reverse=True)
+        return ranked[:limit]
+
+    def hottest_builtins(self, limit: int = 10) -> List[Tuple[str, int, int]]:
+        ranked = sorted(self.builtin_cycles.items(),
+                        key=lambda kv: kv[1], reverse=True)
+        return [(name, self.builtin_calls.get(name, 0), cycles)
+                for name, cycles in ranked[:limit]]
+
+
 class ExecutionResult:
     def __init__(self, value, report, stdout: List[str], profile=None):
         self.value = value
         self.report = report
         self.stdout = stdout
-        #: :class:`~repro.runtime.dispatch.InterpreterProfile` when the
-        #: run was profiled, else None.
+        #: :class:`InterpreterProfile` when the run was profiled, else
+        #: None.
         self.profile = profile
 
 
@@ -139,14 +172,12 @@ class Frame:
 class Interpreter:
     """Executes one module.
 
-    ``dispatch`` selects the execution engine: ``"jit"`` compiles each
-    IR function to straight-line Python source on first call
-    (:mod:`repro.codegen.pyjit`), with per-function fallback to the
-    closure tables for anything the emitter cannot prove static;
-    ``"fast"`` (default) compiles each function's blocks to closure
-    tables on first call (:mod:`repro.runtime.dispatch`); ``"legacy"``
-    walks the original per-instruction isinstance chain.  All three
-    charge identical cycles.
+    ``dispatch`` selects the execution engine: ``"jit"`` (default)
+    compiles each IR function to straight-line Python source on first
+    call (:mod:`repro.codegen.pyjit`); ``"legacy"`` walks the
+    per-instruction isinstance chain.  Both charge identical cycles.
+    A function the jit refuses, and every profiled run, executes on
+    the legacy walker.
 
     ``mpfr_pool`` enables the runtime free-list in the backing
     :class:`~repro.bigfloat.MpfrLibrary`: ``mpfr_clear`` parks handles
@@ -163,12 +194,12 @@ class Interpreter:
                  accounting: Optional[CostAccounting] = None,
                  mpfr_library: Optional[MpfrLibrary] = None,
                  max_steps: int = 500_000_000,
-                 dispatch: str = "fast",
+                 dispatch: str = "jit",
                  profile: bool = False,
                  mpfr_pool: bool = False,
                  pool_limit: int = 1024,
                  codegen_store=None):
-        if dispatch not in ("jit", "fast", "legacy"):
+        if dispatch not in ("jit", "legacy"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.module = module
         self.accounting = accounting or CostAccounting()
@@ -200,16 +231,10 @@ class Interpreter:
         #: (id(constant), attrs) -> rounded BigFloat; constants are pinned
         #: by the module so ids are stable.
         self._const_cache: Dict[tuple, BigFloat] = {}
-        #: (id(vptype), *runtime attrs) -> (prec, size) for
-        #: dynamic-attribute vpfloat types (constant-attribute types
-        #: resolve once inside their compiled closures instead).
-        self._vp_config_cache: Dict[tuple, tuple] = {}
         self._posit_config_cache: Dict[tuple, PositConfig] = {}
         self._unum_config_cache: Dict[tuple, UnumConfig] = {}
         self._validated_mpfr_attrs: set = set()
         self._mpfr_cost_cache: Dict[tuple, int] = {}
-        self._compiled_functions: Dict[int, CompiledFunction] = {}
-        self._compiler: Optional[FunctionCompiler] = None
         #: Shared codegen artifact store (jit engine): lets warm runs of
         #: a cached program skip re-emission.  Lazily created when the
         #: jit dispatch mode first materializes a function.
@@ -277,8 +302,13 @@ class Interpreter:
         if vptype.format == "unum":
             config = self._unum_config(vptype, frame)
             return config.precision, config.size_bytes
-        exp = self._attr(vptype.exp_attr, frame)
-        prec = self._attr(vptype.prec_attr, frame)
+        return self._mpfr_config(self._attr(vptype.exp_attr, frame),
+                                 self._attr(vptype.prec_attr, frame))
+
+    def _mpfr_config(self, exp: int, prec: int):
+        """(precision_bits, size_bytes) of ``vpfloat<mpfr, exp, prec>``
+        at these attribute values; raises :class:`VPRuntimeError` when
+        they are out of range."""
         key = (exp, prec)
         if key not in self._validated_mpfr_attrs:
             try:
@@ -349,6 +379,10 @@ class Interpreter:
         if isinstance(c, ConstantFloat):
             return _f32(c.value) if c.type.bits == 32 else c.value
         if isinstance(c, ConstantVPFloat):
+            if c.type.format == "mpfr":
+                return self._mpfr_constant(
+                    c, self._attr(c.type.exp_attr, frame),
+                    self._attr(c.type.prec_attr, frame))
             prec, _ = self.vp_config(c.type, frame)
             key = (id(c), prec)
             cached = self._const_cache.get(key)
@@ -356,13 +390,11 @@ class Interpreter:
                 return cached
             if c.type.format == "posit":
                 rounded = self._posit_round(c.value, c.type, frame)
-            elif c.type.format == "unum":
+            else:  # unum
                 from ..unum import decode as _ud, encode as _ue
 
                 config = self._unum_config(c.type, frame)
                 rounded = _ud(_ue(c.value, config), config)
-            else:
-                rounded = c.value.round_to(prec)
             self._const_cache[key] = rounded
             return rounded
         if isinstance(c, ConstantPointerNull):
@@ -372,6 +404,19 @@ class Interpreter:
         if isinstance(c, UndefValue):
             return self._default(c.type, frame)
         raise VPRuntimeError(f"cannot evaluate constant {c!r}")
+
+    def _mpfr_constant(self, c: ConstantVPFloat, exp: int,
+                       prec: int) -> BigFloat:
+        """``c`` rounded at runtime attributes ``(exp, prec)``, memoized
+        per (constant, precision); the jit calls this directly for
+        constants whose attributes live in its SSA locals."""
+        self._mpfr_config(exp, prec)
+        key = (id(c), prec)
+        rounded = self._const_cache.get(key)
+        if rounded is None:
+            rounded = c.value.round_to(prec)
+            self._const_cache[key] = rounded
+        return rounded
 
     def _value(self, v: Value, frame: Frame) -> object:
         if isinstance(v, Constant):
@@ -400,8 +445,6 @@ class Interpreter:
             entry = self._jit_entry(func)
             if entry is not None:
                 return entry(*args)
-        if self.dispatch != "legacy":
-            return self._call_compiled(func, args)
         return self._call_legacy(func, args, None)
 
     def _call_legacy(self, func: Function, args: List[object],
@@ -457,8 +500,6 @@ class Interpreter:
                     value = entry(*args)
                 finally:
                     self._block_counts = previous
-            elif self.dispatch != "legacy":
-                value = self._call_compiled(func, args, counts)
             else:
                 value = self._call_legacy(func, args, counts)
             accounting.sync()
@@ -471,72 +512,9 @@ class Interpreter:
                 ]
         return value
 
-    def _call_compiled(self, func: Function, args: List[object],
-                       block_counts: Optional[Dict[str, int]] = None
-                       ) -> object:
-        """Fast-path execution over precompiled closure tables.
-
-        Instruction and step counters advance in block-sized strides, so
-        the execution-limit check may trip up to one block earlier than
-        the legacy per-instruction check; everything else (values,
-        cycles, memory traffic, error behavior) is identical.
-        ``block_counts`` (traced calls only) collects per-block
-        execution counts for hot-block span attribution.
-        """
-        compiled = self._compiled_functions.get(id(func))
-        if compiled is None:
-            compiled = self._compile_function(func)
-        costs = self.accounting.costs
-        self.accounting.charge("call", costs.call_overhead)
-        mark = self.memory.stack_mark()
-        frame = Frame(func, mark)
-        values = frame.values
-        for arg, value in zip(func.args, args):
-            values[id(arg)] = value
-        report = self.accounting.report
-        max_steps = self.max_steps
-        profile = self.profile
-        block = compiled.entry
-        prev = None
-        while True:
-            moves = block.phi_moves.get(prev)
-            if moves is not None:
-                # Stage all reads before any write (phi edge semantics).
-                staged = [(key, getter(frame)) for key, getter in moves]
-                for key, value in staged:
-                    values[key] = value
-            if block_counts is not None:
-                block_counts[block.name] = \
-                    block_counts.get(block.name, 0) + 1
-            count = block.count
-            self.steps += count
-            if self.steps > max_steps:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_steps} interpreted instructions"
-                )
-            report.instructions += count
-            if profile is not None:
-                profile.count_block(block.tally)
-            for step in block.steps:
-                step(frame)
-            outcome = block.terminator(frame)
-            if outcome.__class__ is tuple:
-                self.memory.stack_release(mark)
-                self.accounting.charge("ret", costs.ret)
-                return outcome[1]
-            prev = block.bid
-            block = outcome
-
-    def _compile_function(self, func: Function) -> CompiledFunction:
-        if self._compiler is None:
-            self._compiler = FunctionCompiler(self)
-        compiled = self._compiler.compile(func)
-        self._compiled_functions[id(func)] = compiled
-        return compiled
-
     def _jit_entry(self, func: Function):
         """The specialized callable for ``func``, or None when the
-        emitter fell back (closure tables take over)."""
+        emitter fell back (the legacy walker takes over)."""
         engine = self._jit_engine
         if engine is None:
             from ..codegen.pyjit import JitEngine

@@ -305,14 +305,13 @@ def cross_check_rounding(program: FuzzProgram,
 #: reference.
 ENGINE_CONFIGS: Tuple[Tuple[str, str, int, Optional[str],
                             Optional[bool]], ...] = (
-    ("none.O3.fast", "none", 3, "fast", None),
-    ("none.O0.fast", "none", 0, "fast", None),
+    ("none.O3.jit", "none", 3, "jit", None),
+    ("none.O0.jit", "none", 0, "jit", None),
     ("none.O3.legacy", "none", 3, "legacy", None),
     ("mpfr.O3.jit", "mpfr", 3, "jit", None),
-    ("mpfr.O3.fast", "mpfr", 3, "fast", None),
     ("mpfr.O3.legacy", "mpfr", 3, "legacy", None),
     ("mpfr.O3.jit.no-pool", "mpfr", 3, "jit", False),
-    ("boost.O3.fast", "boost", 3, "fast", None),
+    ("boost.O3.jit", "boost", 3, "jit", None),
 )
 
 

@@ -4,9 +4,9 @@ The entry points compile and execute one program under a *reference*
 configuration and a set of *candidate* configurations, then assemble a
 :class:`~repro.validation.certificate.Certificate`:
 
-* :func:`validate_engines` -- the engine transitions (legacy <-> the
-  closure tables <-> the specializing jit) plus the MPFR
-  pool toggle, under the ``exact`` / ``traffic`` report invariants.
+* :func:`validate_engines` -- the engine transition (legacy <-> the
+  specializing jit) plus the MPFR pool toggle, under the ``exact`` /
+  ``traffic`` report invariants.
 * :func:`validate_passes` -- the pass transitions (-O0 vs -O3 and each
   -O3 pipeline switch), value-equivalence with ``sane`` report checks.
 * :func:`certificate_for_outcomes` -- assemble a certificate from run

@@ -214,9 +214,28 @@ class TestRunBatch:
             program.run_batch("f", [], lanes=2)
 
     def test_non_jittable_program_falls_back_to_serial(self):
-        # A runtime precision attribute keeps the function off the jit
-        # path, so the batch must bail out to per-lane serial runs --
-        # still correct, mode reported.
+        # Posit arithmetic keeps the function off the jit path, so the
+        # batch must bail out to per-lane serial runs -- still correct,
+        # mode reported.
+        from repro.core import compile_source
+
+        source = """
+        double f(int n) {
+          vpfloat<posit, 2, 32> y = 1.5;
+          for (int i = 0; i < n; i++) y = y * y + y;
+          return (double)(y);
+        }
+        """
+        program = compile_source(source, backend="mpfr", engine="jit")
+        serial = program.run("f", [3], engine="jit")
+        batch = program.run_batch("f", [3], lanes=2)
+        assert batch.mode == "serial"
+        assert batch.fallback_reason
+        assert batch.values == [serial.value] * 2
+
+    def test_runtime_precision_runs_batched(self):
+        # Runtime precision attributes jit, so the batch stays in
+        # lockstep.
         from repro.core import compile_source
 
         source = """
@@ -229,8 +248,7 @@ class TestRunBatch:
         program = compile_source(source, backend="mpfr", engine="jit")
         serial = program.run("f", [96], engine="jit")
         batch = program.run_batch("f", [96], lanes=2)
-        assert batch.mode == "serial"
-        assert batch.fallback_reason
+        assert batch.mode == "batched"
         assert batch.values == [serial.value] * 2
 
 
@@ -287,7 +305,7 @@ class TestHarnessBatch:
         with pytest.raises(ValueError, match="jit engine"):
             run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 4,
                        backend="mpfr", compile_cache=None, batch=2,
-                       engine="fast")
+                       engine="legacy")
         with pytest.raises(ValueError, match="mpfr"):
             run_kernel("gemm", "double", 4, backend="none",
                        compile_cache=None, batch=2)

@@ -9,16 +9,22 @@ round-trip checks that warm runs skip re-emission.
 """
 
 import dataclasses
+import importlib.util
 import json
 import marshal
+import sys
 from importlib.util import MAGIC_NUMBER
+from pathlib import Path
 
 import pytest
 
 from repro.codegen.pyjit import CodegenStore, emit_function_source
-from repro.core import CompileCache, CompilerDriver, compile_source
-from repro.evaluation.harness import _read_interpreter_outputs
+from repro.core import (ENGINES, CompileCache, CompilerDriver,
+                        compile_source, resolve_engine)
+from repro.evaluation.harness import (_read_interpreter_outputs,
+                                     read_lane_outputs)
 from repro.observability import telemetry_session
+from repro.runtime import Interpreter, VPRuntimeError
 from repro.runtime.cost_model import CostAccounting
 from repro.workloads import RAJA_KERNELS, raja_source
 from repro.workloads.polybench import KERNELS, source_for
@@ -96,7 +102,7 @@ class TestParallelRegionAccounting:
         program = compile_source(source, backend="mpfr")
         reports = {engine: program.run("run", [RAJA_N],
                                        engine=engine).report
-                   for engine in ("jit", "fast", "legacy")}
+                   for engine in ("jit", "legacy")}
         # A three-entry buffer replays mid-region, many times over.
         monkeypatch.setattr(CostAccounting, "trace_limit", 3)
         reports["jit, tiny buffer"] = program.run(
@@ -154,8 +160,13 @@ int run(int n) {
 
 
 class TestDynamicPrecisionFallback:
+    """On the none backend, native vpfloat arithmetic at a runtime
+    precision is not specialized: those functions fall back to the
+    legacy walker.  (The mpfr and boost lowerings jit them, see
+    TestRuntimePrecisionJit.)"""
+
     def test_dynamic_kernel_falls_back_bit_identical(self):
-        program = compile_source(DYNAMIC_PREC_SRC, backend="mpfr")
+        program = compile_source(DYNAMIC_PREC_SRC, backend="none")
         jit = program.run("run", [6], engine="jit")
         legacy = program.run("run", [6], engine="legacy")
         assert jit.value == legacy.value
@@ -168,7 +179,7 @@ class TestDynamicPrecisionFallback:
         # Inlining would fold dyn(96, n) into run and constant-fold the
         # precision (making everything static); keep the calls to get
         # one jit and one fallback function in the same module.
-        program = compile_source(MIXED_SRC, backend="mpfr",
+        program = compile_source(MIXED_SRC, backend="none",
                                  enable_inlining=False)
         jit = program.run("run", [5], engine="jit")
         legacy = program.run("run", [5], engine="legacy")
@@ -176,14 +187,14 @@ class TestDynamicPrecisionFallback:
         _assert_identical(jit, legacy)
         statuses = program._codegen_store.statuses()
         # The static functions specialize; the dynamic-precision one
-        # must fall back to the closure-table engine -- per function,
-        # not per module.
+        # must fall back to the legacy walker -- per function, not per
+        # module.
         assert statuses["dyn"]["status"] == "fallback"
         assert statuses["run"]["status"] == "jit"
         assert statuses["scale"]["status"] == "jit"
 
     def test_fallback_metrics_and_reason(self):
-        program = compile_source(DYNAMIC_PREC_SRC, backend="mpfr")
+        program = compile_source(DYNAMIC_PREC_SRC, backend="none")
         with telemetry_session(metrics=True) as (_, registry):
             program.run("run", [4], engine="jit")
         assert registry.counters.get("codegen.functions.fallback", 0) >= 1
@@ -191,12 +202,82 @@ class TestDynamicPrecisionFallback:
                    for k in registry.counters)
 
     def test_emit_rejects_dynamic_precision(self):
-        program = compile_source(DYNAMIC_PREC_SRC, backend="mpfr")
-        interp = program.interpreter(engine="fast")
+        program = compile_source(DYNAMIC_PREC_SRC, backend="none")
+        interp = program.interpreter(engine="legacy")
         func = program.module.get_function("run")
         source, reason = emit_function_source(interp, func)
         assert source is None
         assert reason
+
+
+def _evalbench_points():
+    """The benchmark's workload module, for its CG program."""
+    path = Path(__file__).resolve().parents[1] / "evalbench" / "points.py"
+    spec = importlib.util.spec_from_file_location("evalbench_points", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRuntimePrecisionJit:
+    """Paper Algorithm 1 over the Listing 4 BLAS (the cg-dynamic
+    benchmark program): every function jits on the mpfr and boost
+    lowerings, and runs at runtime precisions are bit-identical to the
+    legacy walker, report and all."""
+
+    PRECISIONS = (60, 113, 257, 600, 1100)
+
+    @pytest.fixture(scope="class")
+    def cg(self):
+        points = _evalbench_points()
+        matrix = points.cg_matrix()
+        return points, matrix, points.cg_source(matrix)
+
+    def _args(self, cg, prec, max_iter=4):
+        points, matrix, _ = cg
+        return [prec, max_iter, points.CG_TOLERANCE] + \
+            points.rhs_for(matrix, seed=prec)
+
+    @pytest.mark.parametrize("backend", ["mpfr", "boost"])
+    def test_every_function_jits(self, cg, backend):
+        program = CompilerDriver(backend=backend).compile(cg[2], "cg")
+        with telemetry_session(metrics=True) as (_, registry):
+            program.run("cg", self._args(cg, 128))
+        statuses = program._codegen_store.statuses()
+        assert statuses
+        assert {s["status"] for s in statuses.values()} == {"jit"}, \
+            statuses
+        assert registry.counters.get("codegen.functions.fallback", 0) == 0
+
+    @pytest.mark.parametrize("backend", ["mpfr", "boost"])
+    def test_runtime_precisions_match_legacy(self, cg, backend):
+        points = cg[0]
+        program = CompilerDriver(backend=backend).compile(cg[2], "cg")
+        for prec in self.PRECISIONS:
+            runs = {engine: program.run("cg", self._args(cg, prec),
+                                        engine=engine)
+                    for engine in ("jit", "legacy")}
+            outputs = {
+                engine: [points.canonical(v) for v in read_lane_outputs(
+                    run.interpreter, int(run.value), points.CG_N + 1,
+                    f"vpfloat<mpfr, 16, {prec}>", backend)]
+                for engine, run in runs.items()}
+            assert outputs["jit"] == outputs["legacy"], prec
+            assert _whole_report(runs["jit"].report) == \
+                _whole_report(runs["legacy"].report), prec
+
+    @pytest.mark.parametrize("backend", ["mpfr", "boost"])
+    def test_out_of_range_precision_same_error(self, cg, backend):
+        program = CompilerDriver(backend=backend).compile(cg[2], "cg")
+        messages = {}
+        for engine in ("jit", "legacy"):
+            with pytest.raises(VPRuntimeError) as info:
+                program.run("cg", self._args(cg, 20000), engine=engine)
+            messages[engine] = str(info.value)
+        assert messages["jit"] == messages["legacy"]
+        assert "precision" in messages["jit"]
 
 
 class TestCodegenCacheRoundTrip:
@@ -233,9 +314,9 @@ class TestCodegenCacheRoundTrip:
         keys = {
             CompileCache.fingerprint("int run() { return 0; }", options,
                                      engine=engine)
-            for engine in (None, "jit", "fast", "legacy")
+            for engine in (None, "jit", "legacy")
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
 
 class TestPersistedCodeObjects:
@@ -306,9 +387,24 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             CompilerDriver(backend="mpfr", engine="fused")
 
+    def test_closure_engine_is_gone(self):
+        program = compile_source("int f() { return 1; }", backend="none")
+        with pytest.raises(ValueError, match="unknown dispatch mode"):
+            Interpreter(program.module, dispatch="fast")
+        with pytest.raises(ValueError, match="unknown engine"):
+            program.run("f", [], engine="fast")
+
+    @pytest.mark.parametrize("backend", ["none", "mpfr", "boost"])
+    def test_jit_is_every_interpreter_backends_default(self, backend):
+        assert ENGINES == ("jit", "legacy")
+        assert resolve_engine(None, backend) == "jit"
+        program = compile_source("int f() { return 1; }", backend=backend)
+        assert program.interpreter().dispatch == "jit"
+
     def test_profile_runs_use_closure_tables(self):
         # Opcode-level profiling needs per-instruction dispatch; the
-        # jit mode transparently degrades to the fast engine for it.
+        # jit mode transparently runs profiled calls on the legacy
+        # walker.
         program = compile_source(MIXED_SRC, backend="mpfr")
         result = program.run("run", [3], engine="jit", profile=True)
         baseline = program.run("run", [3], engine="legacy")

@@ -135,9 +135,13 @@ class TestDriverIntegration:
         driver = CompilerDriver(backend="mpfr", cache=cache)
         first = driver.compile(SOURCE)
         second = driver.compile(SOURCE)
-        assert second is first  # memory tier
+        # The memory-tier hit shares the module, with no unpickle; the
+        # driver hands out its own shallow copy of the program.
+        assert second.module is first.module
+        assert second is not first
         assert cache.stats.stores == 1
         assert cache.stats.memory_hits == 1
+        assert cache.stats.disk_hits == 0
 
     def test_driver_accepts_path_like_cache(self, tmp_path):
         driver = CompilerDriver(backend="mpfr", cache=tmp_path / "c")

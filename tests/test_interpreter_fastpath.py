@@ -1,4 +1,4 @@
-"""Closure-table dispatch: equivalence with the legacy walker + profiling."""
+"""Jit dispatch: equivalence with the legacy walker + profiling."""
 
 from repro import compile_source
 from repro.workloads.polybench import source_for
@@ -7,23 +7,23 @@ from repro.workloads.polybench import source_for
 def _run_both(source, func, args, backend, n_or_args=None):
     program = compile_source(source, backend=backend)
     legacy = program.run(func, args, engine="legacy", pool=False)
-    fast = program.run(func, args, engine="fast", pool=False)
-    return legacy, fast
+    jit = program.run(func, args, engine="jit", pool=False)
+    return legacy, jit
 
 
 class TestDispatchEquivalence:
-    """Fast dispatch must charge the same cycles to the same categories
+    """Jit dispatch must charge the same cycles to the same categories
     and produce the same values as the legacy isinstance walker."""
 
     def assert_equivalent(self, source, func, args, backend):
-        legacy, fast = _run_both(source, func, args, backend)
-        assert fast.value == legacy.value
-        assert fast.report.cycles == legacy.report.cycles
-        assert fast.report.instructions == legacy.report.instructions
-        assert dict(fast.report.by_category) == \
+        legacy, jit = _run_both(source, func, args, backend)
+        assert jit.value == legacy.value
+        assert jit.report.cycles == legacy.report.cycles
+        assert jit.report.instructions == legacy.report.instructions
+        assert dict(jit.report.by_category) == \
             dict(legacy.report.by_category)
-        assert fast.report.mpfr_calls == legacy.report.mpfr_calls
-        assert fast.report.heap_allocations == legacy.report.heap_allocations
+        assert jit.report.mpfr_calls == legacy.report.mpfr_calls
+        assert jit.report.heap_allocations == legacy.report.heap_allocations
 
     def test_gemm_all_interpreter_backends(self):
         source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
@@ -78,27 +78,27 @@ class TestDispatchEquivalence:
         int f(int n) { return 10 / n; }
         """
         program = compile_source(source, backend="none")
-        # Compilation of the closure table must not raise; execution must.
+        # Emitting the jit source must not raise; execution must.
         assert program.run("f", [5]).value == 2
         with pytest.raises(VPRuntimeError):
             program.run("f", [0])
 
 
 class TestSuperinstructionFusion:
-    """The closure-table ("fast"), jit, and legacy engines must agree
-    on outputs and on every cycle category, bit for bit."""
+    """The jit and legacy engines must agree on outputs and on every
+    cycle category, bit for bit."""
 
     def _run_all(self, source, func, args, backend, n_points=0):
         program = compile_source(source, backend=backend)
         results = {}
-        for dispatch in ("legacy", "fast", "jit"):
+        for dispatch in ("legacy", "jit"):
             r = program.run(func, args, engine=dispatch, pool=False)
             results[dispatch] = (
                 r.value, r.report.cycles, r.report.instructions,
                 dict(r.report.by_category), r.report.mpfr_calls,
                 r.report.heap_allocations)
-        assert results["fast"] == results["jit"] == results["legacy"]
-        return results["fast"]
+        assert results["jit"] == results["legacy"]
+        return results["jit"]
 
     def test_gemm_all_engines(self):
         for backend in ("none", "mpfr", "boost"):
@@ -150,7 +150,7 @@ class TestSuperinstructionFusion:
         from repro.runtime.interpreter import Interpreter
 
         program = compile_source("int f() { return 1; }", backend="none")
-        for mode in ("fused", "unfused"):
+        for mode in ("fused", "unfused", "fast"):
             with pytest.raises(ValueError, match="unknown dispatch mode"):
                 Interpreter(program.module, dispatch=mode)
 
@@ -177,7 +177,7 @@ class TestRuntimePrecisionFreshness:
         """
         for backend in ("none", "mpfr"):
             program = compile_source(source, backend=backend)
-            for dispatch in ("fast", "legacy"):
+            for dispatch in ("jit", "legacy"):
                 result = program.run("f", [200], engine=dispatch)
                 assert result.value == 2.0 ** -69, (backend, dispatch)
 
@@ -220,10 +220,10 @@ class TestProfile:
     def test_profile_matches_between_dispatch_modes(self):
         source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
         program = compile_source(source, backend="mpfr")
-        fast = program.run("run", [4], profile=True, engine="fast")
+        jit = program.run("run", [4], profile=True, engine="jit")
         legacy = program.run("run", [4], profile=True, engine="legacy")
-        assert fast.profile.opcode_counts == legacy.profile.opcode_counts
-        assert fast.profile.builtin_calls == legacy.profile.builtin_calls
+        assert jit.profile.opcode_counts == legacy.profile.opcode_counts
+        assert jit.profile.builtin_calls == legacy.profile.builtin_calls
 
     def test_profile_off_by_default(self):
         result = compile_source("int f() { return 1; }",

@@ -48,7 +48,7 @@ def test_profiles_independent_of_trace_buffering(monkeypatch):
 
     def attribution():
         exact = profile_run(program, "run", [6])
-        builtins = program.run("run", [6], engine="fast",
+        builtins = program.run("run", [6], engine="jit",
                                profile=True).profile
         return ({key: row[:2] for key, row in exact.records.items()},
                 builtins.builtin_cycles)

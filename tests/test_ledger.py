@@ -201,6 +201,21 @@ def test_compare_identical_ledgers_is_clean():
     assert compared > 0
 
 
+def test_compare_reports_unmatched_keys_as_skipped():
+    # Baseline cases the candidate no longer runs (a serial row, a
+    # retired engine) and a candidate-only batched row: the serial and
+    # batched keys differ only in the lane count, None vs 4.
+    shared = _bench_record(1000, 0.01, n=8)
+    serial = _bench_record(1000, 0.01)
+    retired = dict(_bench_record(1000, 0.01), engine="fast")
+    batched = dict(_bench_record(1000, 0.01), lanes=4)
+    regressions, _, compared, skipped = compare_ledgers(
+        [shared, serial, retired], [shared, batched])
+    assert regressions == [] and compared > 0
+    assert {(key[5], key[6]) for key in skipped} == \
+        {("jit", None), ("fast", None), ("jit", 4)}
+
+
 def test_compare_flags_deterministic_regression():
     base = [_bench_record(1000, 0.01)]
     cand = [_bench_record(1100, 0.01)]

@@ -106,7 +106,7 @@ class TestCompareReports:
 
 class TestCertificateObject:
     def _cert(self, passed: bool) -> Certificate:
-        check = make_check("engine.fast", "exact", (1,),
+        check = make_check("engine.legacy", "exact", (1,),
                            (1,) if passed else (2,),
                            TestCompareReports.REF, TestCompareReports.REF)
         return Certificate(kind="engines", subject="t",
@@ -141,8 +141,8 @@ class TestValidateHarness:
                                 cache=None, strict=True)
         assert cert.passed
         labels = {check.label for check in cert.checks}
-        # jit is the mpfr reference; the others plus the pool toggle.
-        assert {"engine.fast", "engine.legacy", "pool.off"} <= labels
+        # jit is the reference; legacy plus the pool toggle.
+        assert {"engine.legacy", "pool.off"} <= labels
 
     def test_passes_certificate_passes(self):
         cert = validate_passes(SOURCE, "f", (12,), backend="mpfr",
@@ -170,7 +170,7 @@ class TestRunKernelValidate:
     FTYPE = "vpfloat<mpfr, 16, 128>"
 
     @pytest.mark.parametrize("kernel,n", [("gemm", 5), ("jacobi-1d", 8)])
-    @pytest.mark.parametrize("engine", ["jit", "fast", "legacy"])
+    @pytest.mark.parametrize("engine", ["jit", "legacy"])
     def test_certificate_passes_and_primary_untouched(self, kernel, n,
                                                       engine):
         plain = run_kernel(kernel, self.FTYPE, n, backend="mpfr",
@@ -364,8 +364,8 @@ class TestCli:
         text = render_validation_summary({"counters": {
             "validate.certificates": 2, "validate.passed": 2,
             "validate.failed": 0,
-            "validate.check.engine.fast.passed": 2,
+            "validate.check.engine.legacy.passed": 2,
             "validate.fuzz.programs": 3}})
         assert "2 certificate(s)" in text
-        assert "engine.fast" in text
+        assert "engine.legacy" in text
         assert render_validation_summary({"counters": {}}) == ""
