@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
-"""Format shootout: mpfr vs unum vs posit at equal storage budgets.
+"""Format shootout: IEEE vs mpfr vs unum at equal storage budgets.
 
 The paper's thesis is that the *type system* should carry the number
 format, so switching a kernel between representations is a one-line
 type edit (paper §III-A).  This example demonstrates exactly that: one
-dot-product kernel, recompiled with three different ``vpfloat``
+dot-product kernel, recompiled with IEEE ``float`` and two ``vpfloat``
 formats at a 32-bit storage width, measured for accuracy against a
 700-bit reference.
 
-Two inputs probe the formats' contrasting geometry:
-
-- values clustered near 1.0, where posit's tapered precision spends
-  its regime bits well and beats a fixed-field format of equal width;
-- values spanning a wide dynamic range, where the tapered fraction
-  shrinks and a conventional exponent/fraction split wins back ground.
+Two inputs probe the formats' geometry: values clustered near 1.0,
+and values spanning a wide dynamic range.
 
 Run:  python examples/format_shootout.py [n]
 """
@@ -38,7 +34,6 @@ FORMATS = (
     ("float (IEEE 32)", "float"),
     ("mpfr  <8, 24>", "vpfloat<mpfr, 8, 24>"),
     ("unum  <3, 5>", "vpfloat<unum, 3, 5, 4>"),
-    ("posit <2, 32>", "vpfloat<posit, 2, 32>"),
 )
 
 
@@ -81,17 +76,15 @@ def run_case(title, xs, ys, n):
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 128
 
-    # Near-1.0 workload: posit's sweet spot.
     xs = [1.0 + (i % 17) / 64.0 for i in range(n)]
     ys = [1.0 - (i % 13) / 96.0 for i in range(n)]
-    run_case("values near 1.0 (posit sweet spot)", xs, ys, n)
+    run_case("values near 1.0", xs, ys, n)
 
-    # Wide-dynamic-range workload: tapered precision pays a price.
     xs = [(1.0 + (i % 7) / 8.0) * 2.0 ** ((i % 29) - 14) for i in range(n)]
     ys = [(1.0 + (i % 5) / 8.0) * 2.0 ** (14 - (i % 23)) for i in range(n)]
-    run_case("wide dynamic range (fixed exponent field wins)", xs, ys, n)
+    run_case("wide dynamic range", xs, ys, n)
 
-    print("\nSame kernel, four formats, one type edit each -- the paper's")
+    print("\nSame kernel, three formats, one type edit each -- the paper's")
     print("'seamless integration' argument in action.")
 
 

@@ -82,15 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "refuses and every --profile run)")
     parser.add_argument("--no-pool", action="store_true",
                         help="disable the runtime MPFR object pool")
-    parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="execute --run as one batched SPMD run of "
-                             "N independent lanes (mpfr backend, jit "
-                             "engine): one IR dispatch per instruction "
-                             "amortized over all lanes, bit-identical "
-                             "per-lane values and cycle reports to N "
-                             "serial runs; with --validate, certify "
-                             "every lane against a serial reference "
-                             "run (the serial<->batched transition)")
     parser.add_argument("--validate", action="store_true",
                         help="after --run, emit a translation-validation "
                              "certificate: re-run FUNC on every other "
@@ -231,8 +222,6 @@ def _run(args) -> int:
 
     if args.run:
         run_args = _parse_run_args(args.args)
-        if args.batch is not None:
-            return _run_batched(args, run_args, program)
         try:
             result = program.run(args.run, run_args,
                                  engine=args.engine,
@@ -259,66 +248,6 @@ def _run(args) -> int:
         if args.validate:
             return _validate(args, source, run_args, driver)
     return 0
-
-
-def _run_batched(args, run_args, program) -> int:
-    """Execute --run as one batched SPMD run of --batch lanes."""
-    if args.batch < 1:
-        print(f"error: --batch must be >= 1, got {args.batch}",
-              file=sys.stderr)
-        return 1
-    if args.backend != "mpfr":
-        print("error: --batch requires --backend mpfr", file=sys.stderr)
-        return 1
-    if args.engine not in (None, "jit"):
-        print(f"error: --batch runs on the jit engine, not "
-              f"--engine {args.engine}", file=sys.stderr)
-        return 1
-    try:
-        result = program.run_batch(args.run, run_args, lanes=args.batch,
-                                   pool=False if args.no_pool else None)
-    except Exception as error:
-        print(f"runtime error: {error}", file=sys.stderr)
-        return 2
-    print(f"{args.run}(...) = {result.values[0]}  "
-          f"[{result.lanes} lanes, {result.mode}]")
-    if result.mode == "serial":
-        print(f"; batch bailed out to per-lane serial execution: "
-              f"{result.fallback_reason}", file=sys.stderr)
-    if args.report:
-        report = result.reports[0]
-        print(f"per-lane cycles:   {report.cycles}")
-        print(f"instructions:      {report.instructions}")
-        print(f"mpfr calls:        {report.mpfr_calls}")
-        print(f"heap allocations:  {report.heap_allocations}")
-        print(f"LLC misses:        {report.llc_misses}")
-    if args.validate:
-        return _validate_batch(args, run_args, program, result)
-    return 0
-
-
-def _validate_batch(args, run_args, program, result) -> int:
-    """Certify the serial<->batched transition for the batch just run:
-    a serial jit reference run, every lane checked bit-for-bit under
-    the ``exact`` report invariant."""
-    from .validation import TRANSITIONS, certificate_for_outcomes
-
-    strictness = TRANSITIONS["serial↔batched"]
-    serial = program.run(args.run, run_args, engine="jit",
-                         pool=False if args.no_pool else None)
-    candidates = [(f"batch{result.lanes}.lane{i}", strictness,
-                   [result.values[i]], result.reports[i])
-                  for i in range(result.lanes)]
-    certificate = certificate_for_outcomes(
-        subject=args.source,
-        reference_label="engine.jit.serial",
-        reference=([serial.value], serial.report),
-        candidates=candidates,
-        witness={"func": args.run, "args": list(run_args),
-                 "lanes": result.lanes, "batch_mode": result.mode},
-        strict=False)
-    print(certificate.render())
-    return 0 if certificate.passed else 3
 
 
 def _validate(args, source: str, run_args, driver) -> int:

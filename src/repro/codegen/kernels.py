@@ -72,17 +72,6 @@ _KERNEL_CACHE: Dict[Tuple[str, int, str, Optional[int]], Callable] = {}
 # Rounding (inlined round_significand, mode folded)
 # ----------------------------------------------------------------- #
 
-def _sticky_small_cond(rm: RoundingMode):
-    """Increment condition for the ``nbits <= prec`` path when the
-    sticky bit is set (low=0, half=1 in _should_increment terms)."""
-    if rm is RoundingMode.TOWARD_POSITIVE:
-        return "_s == 0"
-    if rm is RoundingMode.TOWARD_NEGATIVE:
-        return "_s == 1"
-    # RNDZ never increments; both nearest modes see low(0) < half(1).
-    return None
-
-
 def _incr_cond(rm: RoundingMode, sticky: bool):
     """Increment condition for the ``nbits > prec`` path.  ``_low``,
     ``_half``, ``_q``, ``_s`` (and ``_st`` when ``sticky``) are in

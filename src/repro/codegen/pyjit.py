@@ -5,7 +5,7 @@ an isinstance ladder plus several frame-dict operations per executed IR
 instruction.  This module removes both: :class:`FunctionEmitter`
 translates one IR function into straight-line Python source with every
 SSA value register-allocated to a Python local, constant-attribute
-vpfloat precisions / rounding modes / guard bits baked into the emitted
+vpfloat precisions and rounding modes baked into the emitted
 text, the :mod:`repro.bigfloat.arith` integer-mantissa kernels inlined
 (via :mod:`repro.codegen.kernels`) for the constant-precision ``RNDN``
 case, and all statically-known cycle charges of a basic block folded
@@ -20,11 +20,11 @@ re-implemented), and runtime errors keep their exact types and
 messages.  Literals whose vpfloat attributes are runtime values (the
 mpfr and boost lowerings of paper Listing 4 code) are rounded at those
 values as they execute.  Anything else the emitter cannot prove static
--- native vpfloat arithmetic at runtime attributes, posit arithmetic,
-unknown builtins, dynamically-sized element types, non-static GEPs --
-raises :class:`_Unsupported` during emission and that one *function*
-silently falls back to the legacy walker; jit selection is
-per-function, never a hard error.
+-- native vpfloat arithmetic at runtime attributes, unknown builtins,
+dynamically-sized element types, non-static GEPs -- raises
+:class:`_Unsupported` during emission and that one *function* silently
+falls back to the legacy walker; jit selection is per-function, never
+a hard error.
 
 Generated source is self-contained: it defines ``_make(R)`` where ``R``
 is a :class:`JitRuntime` bound to one (interpreter, function) pair, and
@@ -82,7 +82,6 @@ from ..ir import (
 )
 from ..observability.tracer import CAT_COMPILE
 from . import CODEGEN_VERSION
-from .batch_kernels import batch_kernel_factory
 from .kernels import bind_scalar_kernel
 
 #: vpfloat binary opcodes with an inlinable specialized kernel.
@@ -157,27 +156,6 @@ class _KernelMap(dict):
         return kernel
 
 
-class _BatchKernelMap(dict):
-    """``(prec, exp_bits) -> fused batched RNDN kernel`` for one op.
-
-    Batch-mode call sites additionally key on the destination handle's
-    exponent-range clamp (folded into the kernel's lane store), so the
-    emitted body needs no per-call clamp block.
-    """
-
-    def __init__(self, op: str, ctx):
-        super().__init__()
-        self.op = op
-        self.ctx = ctx
-
-    def __missing__(self, key):
-        prec, exp_bits = key
-        kernel = batch_kernel_factory(self.op, prec, RNDN,
-                                      exp_bits)(self.ctx)
-        self[key] = kernel
-        return kernel
-
-
 class JitRuntime:
     """Make-time resolver for one (interpreter, function) pair.
 
@@ -203,10 +181,6 @@ class JitRuntime:
     inf = math.inf
     nan = math.nan
     limb_bytes = staticmethod(limb_bytes)
-    # Bound by the prelude in every module; only batch-mode source
-    # (emitted against a BatchInterpreter) ever calls them.
-    batch_from_float = None
-    batch_from_int = None
 
     def __init__(self, interp, func: Function):
         self.interp = interp
@@ -274,27 +248,6 @@ class JitRuntime:
         raise TypeError(f"cannot resolve {type(v).__name__} at bind time")
 
 
-class BatchJitRuntime(JitRuntime):
-    """Resolver for batch-mode modules: mpfr kernel maps hand out the
-    fused N-lane kernels (clamp folded, keyed ``(prec, exp_bits)``) and
-    scalar assignments broadcast across the interpreter's lanes."""
-
-    __slots__ = ()
-
-    def mpfr_kernels(self, op: str) -> _BatchKernelMap:
-        return _BatchKernelMap(op, self.interp.batch)
-
-    def batch_from_float(self, value, prec: int):
-        from ..runtime.batch import VPBatch
-        return VPBatch.broadcast(BigFloat.from_float(value, prec),
-                                 self.interp.batch.lanes)
-
-    def batch_from_int(self, value, prec: int):
-        from ..runtime.batch import VPBatch
-        return VPBatch.broadcast(BigFloat.from_int(value, prec),
-                                 self.interp.batch.lanes)
-
-
 def _bind_runtime_refs() -> None:
     # Deferred import: repro.runtime.interpreter imports this package
     # lazily from inside a method, so importing it back at call time is
@@ -356,8 +309,6 @@ _mopc = _C.mpfr_op_cost
 _bcat = _rep.by_category
 _mstats = _interp.mpfr.stats
 _mbump = _mstats.bump
-_bfromf = R.batch_from_float
-_bfromi = R.batch_from_int
 _lbytes = R.limb_bytes
 _lbc = {}
 _trace = _acct.trace
@@ -376,9 +327,6 @@ class FunctionEmitter:
     def __init__(self, interp, func: Function):
         self.interp = interp
         self.func = func
-        # Batched interpreters carry a BatchContext; their modules use
-        # the fused N-lane mpfr kernels and broadcast assignments.
-        self.batch = getattr(interp, "batch", None) is not None
         self.names: Dict[int, str] = {}
         self.pool: Dict[int, str] = {}
         self.prelude: List[str] = []
@@ -400,7 +348,6 @@ class FunctionEmitter:
         self._mid_flushes: List[Dict[str, Dict[str, int]]] = []
         self._block_segments: List[Dict[str, Dict[str, int]]] = []
         self._tele_bits: Dict[Tuple[str, int], int] = {}
-        self._tele_guard: Dict[int, int] = {}
         #: 1-based emitted-source line -> (block, inst index, opcode);
         #: filled by emit().
         self.line_map: Dict[int, tuple] = {}
@@ -552,10 +499,9 @@ class FunctionEmitter:
         per_field = self._charges.setdefault(category, {})
         per_field[field] = per_field.get(field, 0) + mult
 
-    def _vp_telemetry(self, opcode: str, prec: int, guard: int) -> None:
+    def _vp_telemetry(self, opcode: str, prec: int) -> None:
         key = (opcode, prec)
         self._tele_bits[key] = self._tele_bits.get(key, 0) + 1
-        self._tele_guard[guard] = self._tele_guard.get(guard, 0) + 1
 
     # ---- entry point --------------------------------------------- #
 
@@ -659,7 +605,6 @@ class FunctionEmitter:
         self._charges = {}
         self._mid_flushes = []
         self._tele_bits = {}
-        self._tele_guard = {}
         body: List = []
         term = None
         count = 0
@@ -718,10 +663,6 @@ class FunctionEmitter:
                 n = self._tele_bits[(opcode, prec)]
                 lines.append(f'    _obs("precision.op.{opcode}.bits", '
                              f"{prec}, {n})")
-            for guard in sorted(self._tele_guard):
-                n = self._tele_guard[guard]
-                lines.append(f'    _obs("precision.guard_bits", '
-                             f"{guard}, {n})")
             lines.append(f'    _minc({rounding_key!r}, {total})')
         lines.extend(step_lines)
         lines.extend(term_lines)
@@ -822,15 +763,11 @@ class FunctionEmitter:
             msg = f"{op} unsupported on vpfloat"
             out.append(f"raise _VPR({msg!r})")
             return
-        if self.batch:
-            raise _Unsupported("native vp arithmetic in batch mode")
-        if vptype.format == "posit":
-            raise _Unsupported("posit vp arithmetic")
         if not self._vp_static_ok(vptype):
             raise _Unsupported("dynamic vpfloat attributes")
         prec = self.interp.vp_config(vptype, None)[0]
         self._charge("vpfloat_native", "f64_other", max(1, prec // 64))
-        self._vp_telemetry(op, prec, 0)
+        self._vp_telemetry(op, prec)
         if vptype.format == "mpfr":
             # The destination format's exponent-range clamp is folded
             # into the kernel; no per-op clamp block.
@@ -1024,8 +961,8 @@ class FunctionEmitter:
         opcode = inst.opcode
         target = inst.type
         # The simple conversions transcribe _cast_value's static cases
-        # directly; everything else (fptosi, vpconv, posit rounding)
-        # keeps the shared runtime path.
+        # directly; everything else (fptosi, vpconv) keeps the shared
+        # runtime path.
         if opcode == "zext":
             src_bits = inst.source.type.bits
             out.append(f"{name} = {source} & {(1 << src_bits) - 1}")
@@ -1045,17 +982,14 @@ class FunctionEmitter:
             return
         if opcode in ("sitofp", "uitofp"):
             if target.is_vpfloat:
-                if target.format != "posit":
-                    prec = self.interp.vp_config(target, None)[0]
-                    out.append(f"{name} = _BF.from_int(int({source}), "
-                               f"{prec})")
-                    return
+                prec = self.interp.vp_config(target, None)[0]
+                out.append(f"{name} = _BF.from_int(int({source}), "
+                           f"{prec})")
             elif target.bits == 32:
                 out.append(f"{name} = _f32(float(int({source})))")
-                return
             else:
                 out.append(f"{name} = float(int({source}))")
-                return
+            return
         elif opcode in ("fpext", "fptrunc"):
             if target.bits == 32:
                 out.append(f"{name} = _f32({source})")
@@ -1066,8 +1000,6 @@ class FunctionEmitter:
         out.append(f"{name} = _cast({handle}, {source}, None)")
 
     def _emit_fneg(self, inst: FNegInst, bi, ii, out) -> None:
-        if self.batch and inst.type.is_vpfloat:
-            raise _Unsupported("native vp negation in batch mode")
         a = self.ref(inst.operands[0], bi, ii, 0)
         name = self.names[id(inst)]
         self._charge("fneg", "f64_other")
@@ -1166,7 +1098,7 @@ class FunctionEmitter:
         lines.append("    _p = _x.prec")
         if op in ("add", "sub", "mul", "div", "fma", "fms"):
             # Fused kernel with the destination handle's exponent-range
-            # clamp folded in (scalar and batch); no per-call clamp.
+            # clamp folded in; no per-call clamp.
             operands = ", ".join(f"{var}.value" for var in handles[1:])
             lines.append(f"    _x.value = {self._mpfr_map_ref(op)}"
                          f"[_p, _x.exp_bits]({operands})")
@@ -1175,11 +1107,7 @@ class FunctionEmitter:
             lines.append("    _x.value = _y.value.round_to(_p)")
             lines.append("    _mstats.sets += 1")
         else:  # set_d / set_si
-            if self.batch:
-                ctor = "_bfromf" if op == "set_d" else "_bfromi"
-            else:
-                ctor = "_BF.from_float" if op == "set_d" \
-                    else "_BF.from_int"
+            ctor = "_BF.from_float" if op == "set_d" else "_BF.from_int"
             lines.append(f"    _x.value = {ctor}(a1, _p)")
             lines.append("    _mstats.sets += 1")
         lines.append(f"    _mbump({bname!r})")
@@ -1413,10 +1341,8 @@ class JitEngine:
                 store.codes[name] = code
         namespace: Dict[str, object] = {}
         exec(code, namespace)
-        runtime_cls = BatchJitRuntime \
-            if getattr(interp, "batch", None) is not None else JitRuntime
         try:
-            entry = namespace["_make"](runtime_cls(interp, func))
+            entry = namespace["_make"](JitRuntime(interp, func))
         except Exception as e:
             # Bind-time resolution failed (e.g. an invalid constant):
             # the legacy walker reproduces the error at execution.

@@ -107,11 +107,6 @@ class CompiledProgram:
         #: Jit-engine emitted-source store (set by the driver when the
         #: program came through a CompileCache; else created lazily).
         self._codegen_store = None
-        #: Batch-mode sidecar key (fingerprint with batch=True) and its
-        #: lazily-created store; batch-mode jit source differs from
-        #: serial source, so the two never share a sidecar.
-        self._batch_codegen_key: Optional[str] = None
-        self._batch_store = None
         #: Engine the driver was configured for; ``run()`` falls back
         #: to it when no ``engine`` is passed.
         self._default_engine: Optional[str] = None
@@ -121,7 +116,6 @@ class CompiledProgram:
         # pickled program must stand alone (it *is* a cache entry).
         state = dict(self.__dict__)
         state["_codegen_store"] = None
-        state["_batch_store"] = None
         return state
 
     # ------------------------------------------------------------ #
@@ -140,21 +134,6 @@ class CompiledProgram:
 
             store = CodegenStore()
             self._codegen_store = store
-        return store
-
-    def _batch_codegen_store(self):
-        store = getattr(self, "_batch_store", None)
-        if store is None:
-            from ..codegen.pyjit import CodegenStore
-
-            serial = self._codegen_store
-            key = getattr(self, "_batch_codegen_key", None)
-            if serial is not None and serial.cache is not None \
-                    and key is not None:
-                store = CodegenStore(serial.cache, key)
-            else:
-                store = CodegenStore()
-            self._batch_store = store
         return store
 
     # ------------------------------------------------------------ #
@@ -249,107 +228,6 @@ class CompiledProgram:
                           **extra, **report_fields(result.report))
         return result
 
-    def run_batch(self, name: str, args: Optional[List[object]] = None,
-                  lanes: int = 1, max_steps: int = 500_000_000, costs=None,
-                  pool: Optional[bool] = None):
-        """Execute a function across ``lanes`` independent instances
-        with one IR dispatch per instruction (the batched jit engine).
-
-        All lanes run the same program and arguments in lockstep SPMD;
-        per-lane values and the shared :class:`CostReport` are
-        bit-identical to ``lanes`` serial jit runs.  A program the
-        batched engine cannot run in lockstep (divergent comparisons,
-        non-jittable functions) transparently falls back to per-lane
-        serial execution -- still correct, reported via
-        ``BatchResult.mode`` and telemetry.  mpfr backend only.
-        """
-        from ..runtime.batch import (
-            BatchDivergence,
-            BatchInterpreter,
-            BatchResult,
-            BatchUnsupported,
-            lane_view,
-        )
-
-        if self.options.backend != "mpfr":
-            raise ValueError(
-                "batched execution requires the mpfr backend, "
-                f"not {self.options.backend!r}")
-        accounting = CostAccounting(costs=costs)
-        tracer = current_tracer()
-        ledger = current_ledger()
-        wall0 = time.perf_counter() if ledger is not None else 0.0
-        span = tracer.span(f"execute-batch:{name}", cat=CAT_RUNTIME,
-                           args={"backend": self.options.backend,
-                                 "lanes": lanes}) \
-            if tracer is not None else None
-        registry = current_metrics()
-        interpreter = BatchInterpreter(
-            self.module, lanes, accounting=accounting,
-            max_steps=max_steps, mpfr_pool=self._pool_default(pool),
-            codegen_store=self._batch_codegen_store())
-        try:
-            try:
-                result = interpreter.run(name, args)
-            except (BatchDivergence, BatchUnsupported) as exc:
-                interpreter.batch.serial_fallback_lanes += lanes
-                interpreter.batch.flush(registry)
-                if span is not None:
-                    span.args["fallback"] = str(exc)
-                serial = self._run_batch_serial(
-                    name, args, lanes, max_steps=max_steps,
-                    costs=costs, pool=pool, reason=str(exc))
-                if ledger is not None:
-                    ledger.record(
-                        "batch_run", function=name,
-                        backend=self.options.backend, engine="jit",
-                        lanes=lanes, mode="serial",
-                        fallback_reason=str(exc),
-                        wall_seconds=time.perf_counter() - wall0,
-                        **report_fields(serial.reports[0]))
-                return serial
-        finally:
-            if span is not None:
-                accounting.sync()
-                span.args["cycles"] = accounting.report.cycles
-                tracer.finish(span)
-        values = [lane_view(result.value, i) for i in range(lanes)]
-        interpreter.batch.flush(registry)
-        if registry is not None:
-            absorb_report(registry, result.report)
-            absorb_mpfr_stats(registry, interpreter.mpfr.stats)
-        if ledger is not None:
-            ledger.record("batch_run", function=name,
-                          backend=self.options.backend, engine="jit",
-                          lanes=lanes, mode="batched",
-                          wall_seconds=time.perf_counter() - wall0,
-                          **report_fields(result.report))
-        return BatchResult(lanes=lanes, values=values,
-                           reports=[result.report] * lanes,
-                           stdout=result.stdout, mode="batched",
-                           interpreter=interpreter)
-
-    def _run_batch_serial(self, name, args, lanes, max_steps, costs, pool,
-                          reason):
-        """Per-lane serial jit runs standing in for a bailed-out batch."""
-        from ..runtime.batch import BatchResult
-
-        values: List[object] = []
-        reports: List[object] = []
-        stdout: List[str] = []
-        interpreter = None
-        for _ in range(lanes):
-            result = self.run(name, args, max_steps=max_steps, costs=costs,
-                              pool=pool, engine="jit")
-            values.append(result.value)
-            reports.append(result.report)
-            stdout = result.stdout
-            interpreter = result.interpreter
-        return BatchResult(lanes=lanes, values=values, reports=reports,
-                           stdout=stdout, mode="serial",
-                           fallback_reason=reason,
-                           interpreter=interpreter)
-
     def interpreter(self, max_steps: int = 500_000_000, costs=None,
                     profile: bool = False,
                     pool: Optional[bool] = None,
@@ -436,8 +314,6 @@ class CompilerDriver:
                 return self._finish(self._compile(source, name))
         key = cache.fingerprint(source, self.options, name,
                                 engine=self.engine)
-        batch_key = cache.fingerprint(source, self.options, name,
-                                      engine=self.engine, batch=True)
         info["key"] = key
         if tracer is None:
             program = cache.get(key)
@@ -448,7 +324,7 @@ class CompilerDriver:
             else:
                 if registry is not None:
                     registry.inc("compile.cache_hits")
-            return self._finish(program, key, batch_key)
+            return self._finish(program, key)
         with tracer.span(f"compile:{name}", cat=CAT_COMPILE,
                          args={"backend": self.options.backend}) as span:
             with tracer.span("cache.lookup", cat=CAT_CACHE) as lookup:
@@ -462,24 +338,22 @@ class CompilerDriver:
             else:
                 if registry is not None:
                     registry.inc("compile.cache_hits")
-        return self._finish(program, key, batch_key)
+        return self._finish(program, key)
 
     def _finish(self, program: CompiledProgram,
-                key: Optional[str] = None,
-                batch_key: Optional[str] = None) -> CompiledProgram:
+                key: Optional[str] = None) -> CompiledProgram:
         """A shallow copy of a (possibly cached) program carrying the
         driver-side execution state: the default engine and -- in jit
-        mode with a cache -- the emitted-source stores (serial +
-        batched, separately keyed) persisting next to the pickle.  The
-        copy shares the module; the cache's object stays untouched, so
-        its memory tier never keeps a run's jit artifacts alive."""
+        mode with a cache -- the emitted-source store persisting next
+        to the pickle.  The copy shares the module; the cache's object
+        stays untouched, so its memory tier never keeps a run's jit
+        artifacts alive."""
         program = copy.copy(program)
         program._default_engine = self.engine
         if self.engine == "jit" and key is not None:
             from ..codegen.pyjit import CodegenStore
 
             program._codegen_store = CodegenStore(self.cache, key)
-            program._batch_codegen_key = batch_key
         return program
 
     def _compile(self, source: str, name: str = "module") -> CompiledProgram:

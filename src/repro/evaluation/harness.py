@@ -16,7 +16,6 @@ from ..bigfloat import BigFloat
 from ..core import CompilerDriver
 from ..observability import current_ledger, current_metrics, report_fields
 from ..runtime import CostReport
-from ..runtime.batch import lane_view
 from ..unum import UnumConfig, UnumCoprocessor, decode as unum_decode
 from ..workloads.polybench import KERNELS, source_for
 
@@ -62,11 +61,6 @@ class RunOutcome:
     #: Translation-validation certificate (None unless ``validate=``
     #: was requested and the backend supports it).
     certificate: object = None
-    #: Batched execution (None for serial points): the lane count and
-    #: whether the batch actually ran in lockstep ("batched") or bailed
-    #: out to per-lane serial jit runs ("serial").
-    batch: Optional[int] = None
-    batch_mode: Optional[str] = None
 
 
 def parse_ftype(ftype: str) -> Tuple[str, dict]:
@@ -147,7 +141,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                profile: bool = False,
                pool: Optional[bool] = None,
                compile_cache=_UNSET, engine: Optional[str] = None,
-               validate: bool = False, batch: Optional[int] = None,
+               validate: bool = False,
                **driver_kwargs) -> RunOutcome:
     """Compile + execute one PolyBench kernel; extract its outputs.
 
@@ -168,15 +162,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     untouched -- its outputs and report are bit-identical to a
     non-validated run -- and the flag is a single branch when off.
     Certificates only apply to the interpreter backends; unum-machine
-    points are returned unvalidated.
-
-    ``batch=N`` (mpfr backend, jit engine) executes the kernel as one
-    batched SPMD run of N lanes (:meth:`CompiledProgram.run_batch`) and
-    returns lane 0's outputs and report -- bit-identical to a serial
-    run, since every lane computes the same point.  ``validate=True``
-    then certifies the ``serial↔batched`` transition instead: one
-    serial jit reference run, every batch lane checked against it under
-    the ``exact`` invariant."""
+    points are returned unvalidated."""
     spec = KERNELS[kernel]
     source = source_for(kernel, canonical_source_ftype(ftype))
     registry = current_metrics()
@@ -187,35 +173,11 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     wall0 = time.perf_counter() if ledger is not None else 0.0
     if compile_cache is _UNSET:
         compile_cache = _COMPILE_CACHE
-    if batch is not None:
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if backend != "mpfr":
-            raise ValueError("batched execution requires the mpfr "
-                             f"backend, not {backend!r}")
-        if engine not in (None, "jit"):
-            raise ValueError("batched execution runs on the jit engine; "
-                             f"pass engine=None or 'jit', not {engine!r}")
     driver = CompilerDriver(backend=backend, polly=polly,
                             cache=compile_cache, engine=engine,
                             **driver_kwargs)
     program = driver.compile(source, name=f"{kernel}-{backend}")
     kind, params = parse_ftype(ftype)
-
-    if batch is not None:
-        outcome = _run_kernel_batched(program, spec, kernel, ftype,
-                                      backend, n, batch,
-                                      max_steps=max_steps, costs=costs,
-                                      pool=pool,
-                                      read_outputs=read_outputs,
-                                      validate=validate)
-        if ledger is not None:
-            ledger.record("eval_point", kernel=kernel, ftype=ftype,
-                          backend=backend, n=n, engine="jit",
-                          lanes=batch,
-                          wall_seconds=time.perf_counter() - wall0,
-                          **report_fields(outcome.report))
-        return outcome
 
     if backend == "unum":
         if coprocessor is None:
@@ -284,86 +246,13 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     return outcome
 
 
-def _run_kernel_batched(program, spec, kernel: str, ftype: str,
-                        backend: str, n: int, lanes: int, max_steps: int, costs, pool: Optional[bool],
-                        read_outputs: bool,
-                        validate: bool) -> RunOutcome:
-    """One batched SPMD execution standing in for a serial point.
-
-    All lanes compute the same (kernel, n) point, so the outcome
-    carries lane 0's value/outputs/report -- which the batch engine
-    guarantees (and ``validate=True`` certifies) to be bit-identical
-    to a serial jit run."""
-    result = program.run_batch("run", [n], lanes=lanes,
-                               max_steps=max_steps, costs=costs,
-                               pool=pool)
-    value = result.values[0]
-    outputs: List[Number] = []
-    if read_outputs and result.interpreter is not None:
-        outputs = _read_interpreter_outputs(
-            result.interpreter, int(value), spec.outputs(n), ftype,
-            backend, lane=0)
-    outcome = RunOutcome(kernel, ftype, backend, n, outputs,
-                         result.reports[0], value,
-                         mpfr_stats=(result.interpreter.mpfr.stats
-                                     if result.interpreter is not None
-                                     else None),
-                         pass_timings=program.pass_timings,
-                         batch=lanes, batch_mode=result.mode)
-    if validate:
-        outcome.certificate = _validate_batch_run(
-            program, spec, outcome, result,
-            max_steps=max_steps, costs=costs)
-    return outcome
-
-
-def _validate_batch_run(program, spec, outcome: RunOutcome,
-                        batch_result, max_steps: int,
-                        costs) -> object:
-    """Certify the ``serial↔batched`` transition: one serial jit
-    reference run, every batch lane checked against it bit-for-bit
-    (values, outputs, and the full cycle report -- the ``exact``
-    invariant from :data:`~repro.validation.TRANSITIONS`)."""
-    from ..validation import TRANSITIONS, certificate_for_outcomes
-
-    strictness = TRANSITIONS["serial↔batched"]
-    serial = program.run("run", [outcome.n], max_steps=max_steps,
-                         costs=costs, engine="jit")
-    read_outputs = bool(outcome.outputs)
-    ref_values = [serial.value]
-    if read_outputs:
-        ref_values += _read_interpreter_outputs(
-            serial.interpreter, int(serial.value),
-            spec.outputs(outcome.n), outcome.ftype, outcome.backend)
-    candidates = []
-    for i in range(batch_result.lanes):
-        values = [batch_result.values[i]]
-        if read_outputs and batch_result.interpreter is not None:
-            values += _read_interpreter_outputs(
-                batch_result.interpreter, int(batch_result.values[i]),
-                spec.outputs(outcome.n), outcome.ftype, outcome.backend,
-                lane=i)
-        candidates.append((f"batch{batch_result.lanes}.lane{i}",
-                           strictness, values, batch_result.reports[i]))
-    return certificate_for_outcomes(
-        subject=f"{outcome.kernel}-{outcome.backend}",
-        reference_label="engine.jit.serial",
-        reference=(ref_values, serial.report),
-        candidates=candidates,
-        witness={"kernel": outcome.kernel, "ftype": outcome.ftype,
-                 "n": outcome.n, "backend": outcome.backend,
-                 "lanes": batch_result.lanes,
-                 "batch_mode": batch_result.mode},
-        strict=True)
-
-
 def _validate_run(program, spec, outcome: RunOutcome,
                   engine: Optional[str], max_steps: int,
                   costs) -> object:
     """Cross-run the other engines (and the pool toggle) against the
     primary outcome and assemble its certificate (strict)."""
     from ..core import ENGINES, resolve_engine
-    from ..validation import TRANSITIONS, certificate_for_outcomes
+    from ..validation import certificate_for_outcomes
 
     backend = outcome.backend
     reference_engine = resolve_engine(engine, backend)
@@ -404,24 +293,19 @@ def _validate_run(program, spec, outcome: RunOutcome,
 
 
 def read_lane_outputs(interpreter, base: int, count: int, ftype: str,
-                      backend: str, lane: int = 0) -> List[Number]:
-    """Extract one lane's output elements from simulated memory.
+                      backend: str) -> List[Number]:
+    """Extract output elements from simulated memory.
 
     The public face of the output reader for callers that hold a
-    finished interpreter directly (the compile/run service's workers
-    read every lane of a coalesced batch this way); serial cells
-    ignore ``lane``."""
+    finished interpreter directly (a program run outside
+    :func:`run_kernel`, such as a CG solve)."""
     return _read_interpreter_outputs(interpreter, base, count, ftype,
-                                     backend, lane=lane)
+                                     backend)
 
 
 def _read_interpreter_outputs(interpreter, base: int, count: int,
-                              ftype: str, backend: str,
-                              lane: int = 0) -> List[Number]:
-    """Extract ``count`` output elements from simulated memory.
-
-    ``lane`` selects the lane of batched (VPBatch-valued) cells; serial
-    cells are unaffected by it."""
+                              ftype: str, backend: str) -> List[Number]:
+    """Extract ``count`` output elements from simulated memory."""
     stride = element_stride(ftype, backend)
     kind, _params = parse_ftype(ftype)
     values: List[Number] = []
@@ -431,9 +315,8 @@ def _read_interpreter_outputs(interpreter, base: int, count: int,
         if raw is None:
             values.append(0.0)
         elif hasattr(raw, "value") and hasattr(raw, "prec"):
-            # MpfrVar handle: its value is a BigFloat (serial) or a
-            # VPBatch (batched run) -- lane_view resolves both.
-            values.append(lane_view(raw, lane))
+            # MpfrVar handle: its value is the BigFloat.
+            values.append(raw.value)
         else:
             values.append(raw)
     return values

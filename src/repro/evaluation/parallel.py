@@ -74,10 +74,9 @@ def shard_tasks(count: int, jobs: int,
     shard, groups are assigned in first-occurrence order (group ``g``
     to shard ``g % jobs``), and each shard keeps its tasks in grid
     order.  The evaluation drivers group by (kernel, backend, element
-    type) so one worker holds all the points a batched execution could
-    amortize over -- same compiled program, same precision -- instead
-    of interleaving unrelated kernels; the assignment stays a pure
-    function of the grid.
+    type) so one worker compiles each program once and reuses it from
+    its warm compile cache, instead of interleaving unrelated kernels;
+    the assignment stays a pure function of the grid.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -106,29 +105,18 @@ def shard_tasks(count: int, jobs: int,
 # ----------------------------------------------------------------- #
 
 def init_worker_runtime(cache_dir: Optional[str], use_cache: bool,
-                        ledger_path: Optional[str] = None,
-                        max_cache_bytes: Optional[int] = None) -> None:
+                        ledger_path: Optional[str] = None) -> None:
     """Install one worker process's runtime state: the compile cache
-    (process-global default, optionally size-bounded -- the service
-    daemon's shared artifact store passes its byte budget here) and,
-    when the parent has a run ledger, reopen it.  The ledger appends
-    whole lines through one O_APPEND descriptor per process, so every
-    worker writing to the same file is safe; under the spawn start
-    method this is the only way the parent's programmatic
-    ``install_ledger`` reaches the children (fork inherits it, but the
-    per-PID descriptor logic reopens on first use either way).
-
-    Shared by the sweep worker pool below and by the compile/run
-    service's shards (:mod:`repro.service.worker`)."""
-    cache = CompileCache(cache_dir, max_disk_bytes=max_cache_bytes) \
-        if use_cache else None
-    set_compile_cache(cache)
+    (process-global default) and, when the parent has a run ledger,
+    reopen it.  The ledger appends whole lines through one O_APPEND
+    descriptor per process, so every worker writing to the same file is
+    safe; under the spawn start method this is the only way the
+    parent's programmatic ``install_ledger`` reaches the children (fork
+    inherits it, but the per-PID descriptor logic reopens on first use
+    either way)."""
+    set_compile_cache(CompileCache(cache_dir) if use_cache else None)
     if ledger_path is not None:
         install_ledger(RunLedger(ledger_path))
-
-
-#: Pre-service spelling, kept for the pool initializer below.
-_worker_init = init_worker_runtime
 
 
 def _run_shard(fn: Callable, shard: List[Tuple[int, tuple]],
@@ -227,7 +215,7 @@ def _run_pool(fn: Callable, tasks: Sequence[tuple], jobs: int,
     ledger_path = str(ledger.path) if ledger is not None else None
     with ProcessPoolExecutor(
             max_workers=len(shards), mp_context=_pool_context(),
-            initializer=_worker_init,
+            initializer=init_worker_runtime,
             initargs=(cache_dir, use_cache, ledger_path)) as pool:
         futures = [
             pool.submit(_run_shard, fn,
@@ -320,11 +308,11 @@ def _eval_point(point: GridPoint) -> RunOutcome:
 
 
 def _point_group(point: GridPoint):
-    """The batchable-group key of a sweep point: every point sharing
+    """The same-program group key of a sweep point: every point sharing
     it compiles to the same program at the same precision, so one
-    worker can amortize compilation -- and batched execution -- over
-    the whole group.  Unparseable element types fall back to their
-    literal spelling (run_kernel will surface the error)."""
+    worker can amortize compilation over the whole group.  Unparseable
+    element types fall back to their literal spelling (run_kernel will
+    surface the error)."""
     from .harness import canonical_source_ftype
 
     try:
@@ -339,11 +327,10 @@ def run_grid(points: Sequence[GridPoint], jobs: int = 1,
              compile_cache: bool = True) -> List[RunOutcome]:
     """Evaluate a grid of sweep points; outcomes in grid order.
 
-    Points are sharded by batchable group -- (kernel, backend,
-    canonical element type) -- so each worker sweeps whole
-    same-program groups instead of an interleaving of unrelated
-    kernels (better compile-cache locality, and the shard a batched
-    engine can amortize over).  Results are bit-identical either way.
+    Points are sharded by same-program group -- (kernel, backend,
+    canonical element type) -- so each worker sweeps whole groups
+    instead of an interleaving of unrelated kernels (better
+    compile-cache locality).  Results are bit-identical either way.
     """
     points = list(points)
     return parallel_map(_eval_point, [(p,) for p in points], jobs=jobs,

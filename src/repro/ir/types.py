@@ -220,7 +220,7 @@ class VPFloatType(IRType):
     (paper §III-B, first bullet).
     """
 
-    FORMATS = ("mpfr", "unum", "posit")
+    FORMATS = ("mpfr", "unum")
 
     def __init__(
         self,
@@ -268,13 +268,6 @@ class VPFloatType(IRType):
                                 self._const(self.prec_attr), size)
             return (config.exponent_bits, config.fraction_bits,
                     config.size_bytes)
-        if self.format == "posit":
-            from ..unum.posit import PositConfig
-
-            config = PositConfig(self._const(self.exp_attr),
-                                 self._const(self.prec_attr))
-            return (config.es, config.max_fraction_bits,
-                    config.size_bytes)
         exp = self._const(self.exp_attr)
         prec = self._const(self.prec_attr)
         _validate_mpfr_attrs(exp, prec)
@@ -286,7 +279,7 @@ class VPFloatType(IRType):
     @property
     def static_precision(self) -> int:
         """Significand precision in bits (static types only)."""
-        if self.format in ("unum", "posit"):
+        if self.format == "unum":
             return self.static_geometry()[1] + 1  # hidden bit
         return self.static_geometry()[1]
 

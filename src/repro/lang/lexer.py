@@ -44,8 +44,10 @@ KEYWORDS = frozenset({
 })
 
 #: Format names recognized inside vpfloat<...>; parsed as identifiers but
-#: listed here for diagnostics.
-VPFLOAT_FORMATS = ("mpfr", "unum", "posit", "bfloat16")
+#: listed here for diagnostics.  The grammar admits all of them; only
+#: SUPPORTED_FORMATS have a backend.
+VPFLOAT_FORMATS = ("mpfr", "unum", "bfloat16")
+SUPPORTED_FORMATS = ("mpfr", "unum")
 
 # Longest-match punctuation table.
 _PUNCTUATION = [

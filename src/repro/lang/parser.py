@@ -20,7 +20,14 @@ from .ctypes import (
     VOID,
     VPFloatT,
 )
-from .lexer import SourceError, Token, TokenKind, VPFLOAT_FORMATS, tokenize
+from .lexer import (
+    SUPPORTED_FORMATS,
+    SourceError,
+    Token,
+    TokenKind,
+    VPFLOAT_FORMATS,
+    tokenize,
+)
 
 #: Binary operator precedence (higher binds tighter).
 _BINARY_PRECEDENCE = {
@@ -139,9 +146,9 @@ class Parser:
         if fmt not in VPFLOAT_FORMATS:
             raise self.error(
                 f"unknown vpfloat format {fmt!r} "
-                f"(supported: {', '.join(VPFLOAT_FORMATS)})", fmt_token
+                f"(supported: {', '.join(SUPPORTED_FORMATS)})", fmt_token
             )
-        if fmt not in ("mpfr", "unum", "posit"):
+        if fmt not in SUPPORTED_FORMATS:
             raise self.error(
                 f"vpfloat format {fmt!r} is declared in the grammar but has "
                 f"no backend in this toolchain", fmt_token
@@ -153,11 +160,6 @@ class Parser:
         if fmt == "mpfr" and len(attrs) != 2:
             raise self.error(
                 f"vpfloat<mpfr, ...> takes exponent and precision attributes, "
-                f"got {len(attrs)}", start
-            )
-        if fmt == "posit" and len(attrs) != 2:
-            raise self.error(
-                f"vpfloat<posit, ...> takes es and nbits attributes, "
                 f"got {len(attrs)}", start
             )
         if fmt == "unum" and len(attrs) not in (2, 3):

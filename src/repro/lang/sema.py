@@ -200,16 +200,6 @@ class Sema:
         """Range-check constant attributes at compile time."""
         from ..unum import ESS_MAX, ESS_MIN, FSS_MAX, FSS_MIN, SIZE_MAX, SIZE_MIN
 
-        if ctype.format == "posit":
-            if attr is ctype.exp and not 0 <= attr.value <= 4:
-                raise SemanticError(
-                    f"posit es must be in 0..4, got {attr.value}",
-                    node.line, node.column)
-            if attr is ctype.prec and not 3 <= attr.value <= 64:
-                raise SemanticError(
-                    f"posit nbits must be in 3..64, got {attr.value}",
-                    node.line, node.column)
-            return
         if ctype.format == "unum":
             if attr is ctype.exp and not ESS_MIN <= attr.value <= ESS_MAX:
                 raise SemanticError(

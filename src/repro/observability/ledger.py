@@ -4,10 +4,10 @@ Every compile and run event of the stack evaporated with the process
 until now -- Perfetto traces and metrics dumps are per-invocation
 artifacts, not history.  The ledger is the durable substrate: one JSONL
 file that every :class:`~repro.core.CompilerDriver` compile, every
-``program.run``/``run_batch``, every harness sweep point and every
-benchmark appends one self-describing record to, so performance has a
-trajectory that regression gating (``vpfloat-stats compare``) and the
-autotuner roadmap items can read.
+``program.run``, every harness sweep point and every benchmark appends
+one self-describing record to, so performance has a trajectory that
+regression gating (``vpfloat-stats compare``) and the autotuner
+roadmap items can read.
 
 Design constraints, in order:
 
@@ -51,12 +51,8 @@ LEDGER_SCHEMA_VERSION = 1
 #: parallel engine's workers honour it so one sweep shares one file.
 LEDGER_ENV = "VPFLOAT_LEDGER"
 
-#: Record kinds the schema admits.  ``service`` records are written by
-#: the compile/run daemon (:mod:`repro.service`): one per client
-#: request (op, coalesced lane count, attempts, outcome) plus fault
-#: events (worker deaths, request timeouts).
-EVENTS = ("compile", "run", "batch_run", "eval_point", "bench",
-          "service")
+#: Record kinds the schema admits.
+EVENTS = ("compile", "run", "eval_point", "bench")
 
 _NUMERIC = (int, float)
 
@@ -364,8 +360,7 @@ def _mad(values: List[float], center: float) -> float:
 def comparison_key(record: dict) -> Optional[tuple]:
     """The benchmark identity of a record: what must match between two
     ledgers for their samples to be comparable."""
-    if record.get("event") not in ("run", "batch_run", "eval_point",
-                                   "bench"):
+    if record.get("event") not in ("run", "eval_point", "bench"):
         return None
     return (
         record.get("event"),
@@ -374,7 +369,6 @@ def comparison_key(record: dict) -> Optional[tuple]:
         record.get("n"),
         record.get("backend"),
         record.get("engine"),
-        record.get("lanes"),
         record.get("opt_level"),
     )
 
@@ -419,10 +413,16 @@ def _samples_by_key(records: Iterable[dict]
     return grouped
 
 
+#: The host-envelope fields that must all match for two ledgers to
+#: count as written on the same host.  The hostname alone is not
+#: enough: sandboxes and CI runners reuse one name across machines.
+HOST_FIELDS = ("hostname", "platform", "cpu_count", "python")
+
+
 def _same_host(a_records: List[dict], b_records: List[dict]) -> bool:
     def hosts(records):
-        return {r.get("host", {}).get("hostname") for r in records
-                if isinstance(r.get("host"), dict)}
+        return {tuple(r["host"].get(f) for f in HOST_FIELDS)
+                for r in records if isinstance(r.get("host"), dict)}
 
     ha, hb = hosts(a_records), hosts(b_records)
     return bool(ha) and ha == hb
@@ -446,9 +446,10 @@ def compare_ledgers(baseline_records: List[dict],
     Wall-clock metrics gate on median-of-k with a MAD-scaled allowance
     (``median_B > median_A + max(wall_mad_factor * MAD_A,
     wall_rel_floor * median_A)``) and only when both ledgers were
-    written on the same host (``gate_wall`` overrides the
-    auto-detection) -- cross-machine wall comparisons are reported as
-    informational improvements/regressions never, gated never.
+    written on the same host, i.e. with equal :data:`HOST_FIELDS`
+    (``gate_wall`` overrides the auto-detection) -- cross-machine wall
+    comparisons are reported as informational improvements/regressions
+    never, gated never.
     """
     base = _samples_by_key(baseline_records)
     cand = _samples_by_key(candidate_records)
@@ -457,8 +458,8 @@ def compare_ledgers(baseline_records: List[dict],
     regressions: List[Regression] = []
     improvements: List[Regression] = []
     compared = 0
-    # Key fields may be None (unum rows have no engine, serial rows no
-    # lane count), which does not order against str/int: sort by text.
+    # Key fields may be None (unum rows have no engine), which does not
+    # order against str/int: sort by text.
     skipped = sorted(set(base) ^ set(cand), key=repr)
     for key in sorted(set(base) & set(cand), key=repr):
         for metric, b_samples in sorted(base[key].items()):

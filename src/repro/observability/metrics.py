@@ -6,7 +6,7 @@ in the stack -- :class:`~repro.core.cache.CacheStats`,
 :class:`~repro.runtime.dispatch.InterpreterProfile`, pass timings, and
 :class:`~repro.runtime.cost_model.CostReport` -- behind one namespaced
 API, and adds the precision telemetry the paper's evaluation needs
-(per-opcode precision-bit histograms, rounding-mode usage, guard bits).
+(per-opcode precision-bit histograms, rounding-mode usage).
 
 Metric naming scheme (dotted, lowercase)::
 
@@ -26,7 +26,6 @@ Metric naming scheme (dotted, lowercase)::
     precision.op.<op>.bits                      histogram: vp op precisions
     precision.mpfr.bits                         histogram: mpfr call precisions
     precision.rounding.<mode>                   rounding-mode usage
-    precision.guard_bits                        histogram: guard bits in use
 
 The registry is picklable (plain dicts only) and :meth:`merge` is
 commutative over counters/histograms (sums) and takes the max of

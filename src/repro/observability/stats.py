@@ -210,51 +210,6 @@ def render_codegen_summary(data: dict) -> str:
     return "\n".join(lines)
 
 
-def render_batched_summary(data: dict) -> str:
-    """Batched-execution telemetry, derived from the ``batch.*``
-    counters and histograms :class:`~repro.runtime.batch.BatchContext`
-    flushes after every batched run (executions, lanes, fused ops,
-    scalar fallbacks, divergence bailouts, and the batch-size and
-    lane-occupancy histograms).  Empty string when the run never used
-    the batched engine."""
-    counters = data.get("counters", {})
-    executions = int(counters.get("batch.executions", 0))
-    if not executions:
-        return ""
-    lanes = int(counters.get("batch.lanes", 0))
-    ops = int(counters.get("batch.ops", 0))
-    fallbacks = int(counters.get("batch.scalar_fallbacks", 0))
-    lane_ops = int(counters.get("batch.fast_lanes", 0)) + fallbacks
-    lines = [f"batched execution: {executions} batch run(s), "
-             f"{lanes} lane(s), {ops} fused op(s)"]
-    if ops:
-        share = (100.0 * fallbacks / lane_ops) if lane_ops else 0.0
-        lines.append(f"  scalar fallbacks: {fallbacks} lane-op(s)"
-                     f" ({share:.1f}% of lane-ops)")
-    bailouts = int(counters.get("batch.divergence_bailouts", 0))
-    serial_lanes = int(counters.get("batch.serial_fallback_lanes", 0))
-    if bailouts or serial_lanes:
-        lines.append(f"  divergence bailouts: {bailouts}, "
-                     f"serial-fallback lanes: {serial_lanes}")
-    histograms = data.get("histograms", {})
-    occupancy = histograms.get("batch.occupancy", {})
-    if occupancy:
-        lines.append("  occupancy (fast lanes per fused op):")
-        header = f"    {'bucket':>8} {'ops':>10}"
-        lines.append(header)
-        lines.append("    " + "-" * (len(header) - 4))
-        for bucket in sorted(occupancy, key=float, reverse=True):
-            lines.append(f"    {f'{float(bucket):.0f}%':>8} "
-                         f"{int(occupancy[bucket]):>10}")
-    sizes = histograms.get("batch.size", {})
-    if sizes:
-        shape = ", ".join(f"{float(b):.0f}x{int(c)}"
-                          for b, c in sorted(sizes.items(),
-                                             key=lambda kv: float(kv[0])))
-        lines.append(f"  batch sizes (lanes x runs): {shape}")
-    return "\n".join(lines)
-
-
 def render_validation_summary(data: dict) -> str:
     """Translation-validation outcomes, derived from the ``validate.*``
     counters the harness emits (certificates by kind, per-check
@@ -357,63 +312,6 @@ def render_unum_summary(data: dict) -> str:
         lines.append("  " + "-" * (len(header) - 2))
         for opcode in sorted(ops, key=lambda o: (-ops[o], o)):
             lines.append(f"  {opcode:<12} {ops[opcode]:>9}")
-    return "\n".join(lines)
-
-
-def render_service_summary(data: dict) -> str:
-    """Compile/run daemon telemetry, derived from the ``service.*``
-    counters ``vpfloat-serve`` emits (request traffic, dispatch
-    coalescing, fault recovery, shared artifact-store hit rates).
-    Empty string when the document is not a daemon's."""
-    counters = data.get("counters", {})
-    gauges = data.get("gauges", {})
-    requests = int(counters.get("service.requests", 0))
-    dispatches = int(counters.get("service.dispatches", 0))
-    if not requests and not dispatches:
-        return ""
-    lines = [f"service: {requests} request(s) over "
-             f"{int(counters.get('service.connections', 0))} "
-             f"connection(s), {dispatches} dispatch(es)"]
-    coalesced = int(counters.get("service.coalesced", 0))
-    if coalesced:
-        lines.append(f"  coalescing: {coalesced} request(s) batched "
-                     f"into {int(counters.get('service.batches', 0))} "
-                     f"dispatch(es)")
-    ops = {name[len("service.op."):]: int(value)
-           for name, value in counters.items()
-           if name.startswith("service.op.")}
-    if ops:
-        lines.append("  ops: " + ", ".join(
-            f"{op}={ops[op]}" for op in sorted(ops)))
-    faults = {label: int(counters.get(f"service.{name}", 0))
-              for label, name in (("deaths", "worker_deaths"),
-                                  ("timeouts", "timeouts"),
-                                  ("retries", "retries"),
-                                  ("rejected", "rejected"),
-                                  ("task failures", "task_failed"))}
-    if any(faults.values()):
-        lines.append("  faults: " + ", ".join(
-            f"{label}={count}" for label, count in faults.items()
-            if count))
-    store = {name[len("service.store."):]: int(value)
-             for name, value in counters.items()
-             if name.startswith("service.store.")}
-    if store:
-        hits = store.get("memory_hits", 0) + store.get("disk_hits", 0)
-        lookups = hits + store.get("misses", 0)
-        line = (f"  store: {hits}/{lookups} hit(s)"
-                if lookups else "  store: no lookups")
-        if lookups:
-            line += f" ({100.0 * hits / lookups:.0f}%)"
-        extras = [f"{name}={store[name]}" for name in
-                  ("stores", "evictions", "errors") if store.get(name)]
-        if extras:
-            line += ", " + ", ".join(extras)
-        lines.append(line)
-    entries = gauges.get("service.store.entries")
-    if entries is not None:
-        lines.append(f"  store occupancy: {int(entries)} entry(ies), "
-                     f"{int(gauges.get('service.store.bytes', 0))} B")
     return "\n".join(lines)
 
 
@@ -658,10 +556,8 @@ def _main(argv=None) -> int:
             print(registry.render())
             for section in (render_codegen_summary(data),
                             render_kernel_summary(data),
-                            render_batched_summary(data),
                             render_validation_summary(data),
-                            render_unum_summary(data),
-                            render_service_summary(data)):
+                            render_unum_summary(data)):
                 if section:
                     print()
                     print(section)

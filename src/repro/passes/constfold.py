@@ -93,12 +93,6 @@ def _fold_binary(inst: BinaryInst) -> Optional[Value]:
             # compile-time folding must do the same.
             lhs = _round_to_format(a.value, inst.type)
             rhs = _round_to_format(b.value, inst.type)
-            if inst.type.format == "posit":
-                # Tapered semantics: exact-ish intermediate, then round
-                # to the nearest posit (mirrors the interpreter).
-                exact = kernel(lhs, rhs, prec + 8, RNDN)
-                return ConstantVPFloat(inst.type,
-                                       _round_to_format(exact, inst.type))
             return ConstantVPFloat(
                 inst.type, kernel(lhs, rhs, prec, RNDN))
     # Identities.
@@ -303,18 +297,11 @@ def _round_to_format(value: BigFloat, vptype) -> BigFloat:
     """Compile-time rounding must agree with runtime format semantics."""
     if vptype.format == "mpfr":
         return value.round_to(vptype.static_precision)
-    if vptype.format == "unum":
-        from ..unum import UnumConfig, decode, encode
-        from ..ir.values import ConstantInt
+    from ..unum import UnumConfig, decode, encode
 
-        size = vptype.size_attr.value if vptype.size_attr is not None else None
-        config = UnumConfig(vptype.exp_attr.value, vptype.prec_attr.value,
-                            size)
-        return decode(encode(value, config), config)
-    from ..unum.posit import PositConfig, posit_round
-
-    config = PositConfig(vptype.exp_attr.value, vptype.prec_attr.value)
-    return posit_round(value, config)
+    size = vptype.size_attr.value if vptype.size_attr is not None else None
+    config = UnumConfig(vptype.exp_attr.value, vptype.prec_attr.value, size)
+    return decode(encode(value, config), config)
 
 
 def _fold_cast(inst: CastInst) -> Optional[Value]:

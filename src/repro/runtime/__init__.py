@@ -13,14 +13,6 @@ from .cost_model import (
     CycleCosts,
     DEFAULT_LEVELS,
 )
-from .batch import (
-    BatchContext,
-    BatchDivergence,
-    BatchInterpreter,
-    BatchResult,
-    BatchUnsupported,
-    VPBatch,
-)
 from .interpreter import (
     ExecutionLimitExceeded,
     ExecutionResult,
@@ -36,12 +28,6 @@ __all__ = [
     "ExecutionResult",
     "VPRuntimeError",
     "ExecutionLimitExceeded",
-    "VPBatch",
-    "BatchContext",
-    "BatchDivergence",
-    "BatchInterpreter",
-    "BatchResult",
-    "BatchUnsupported",
     "Memory",
     "MemoryError_",
     "CostAccounting",

@@ -76,7 +76,6 @@ from ..observability import (
     current_tracer,
 )
 from ..unum import UnumConfig, UnumConfigError
-from ..unum.posit import PositConfig, PositConfigError, posit_round
 from .cost_model import CostAccounting
 from .memory import Memory
 
@@ -231,7 +230,6 @@ class Interpreter:
         #: (id(constant), attrs) -> rounded BigFloat; constants are pinned
         #: by the module so ids are stable.
         self._const_cache: Dict[tuple, BigFloat] = {}
-        self._posit_config_cache: Dict[tuple, PositConfig] = {}
         self._unum_config_cache: Dict[tuple, UnumConfig] = {}
         self._validated_mpfr_attrs: set = set()
         self._mpfr_cost_cache: Dict[tuple, int] = {}
@@ -293,12 +291,6 @@ class Interpreter:
         attribute mid-loop resolves against the *current* value; only
         the derived config objects are cached, keyed by attribute value.
         """
-        if vptype.format == "posit":
-            config = self._posit_config(self._attr(vptype.exp_attr, frame),
-                                        self._attr(vptype.prec_attr, frame))
-            # Working precision for the exact intermediate; the tapered
-            # rounding to the format happens per operation.
-            return config.max_fraction_bits + 1, config.size_bytes
         if vptype.format == "unum":
             config = self._unum_config(vptype, frame)
             return config.precision, config.size_bytes
@@ -317,17 +309,6 @@ class Interpreter:
                 raise VPRuntimeError(str(e)) from e
             self._validated_mpfr_attrs.add(key)
         return prec, 24 + bigfloat.limb_bytes(prec)
-
-    def _posit_config(self, es: int, max_bits: int) -> PositConfig:
-        key = (es, max_bits)
-        config = self._posit_config_cache.get(key)
-        if config is None:
-            try:
-                config = PositConfig(es, max_bits)
-            except PositConfigError as e:
-                raise VPRuntimeError(str(e)) from e
-            self._posit_config_cache[key] = config
-        return config
 
     def _unum_config(self, vptype: VPFloatType,
                      frame: Optional[Frame]) -> UnumConfig:
@@ -388,13 +369,11 @@ class Interpreter:
             cached = self._const_cache.get(key)
             if cached is not None:
                 return cached
-            if c.type.format == "posit":
-                rounded = self._posit_round(c.value, c.type, frame)
-            else:  # unum
-                from ..unum import decode as _ud, encode as _ue
+            # unum: round through the format's encoding.
+            from ..unum import decode as _ud, encode as _ue
 
-                config = self._unum_config(c.type, frame)
-                rounded = _ud(_ue(c.value, config), config)
+            config = self._unum_config(c.type, frame)
+            rounded = _ud(_ue(c.value, config), config)
             self._const_cache[key] = rounded
             return rounded
         if isinstance(c, ConstantPointerNull):
@@ -649,23 +628,17 @@ class Interpreter:
                       "fmul": arith.mul, "fdiv": arith.div}.get(op)
             if kernel is None:
                 raise VPRuntimeError(f"{op} unsupported on vpfloat")
-            work = prec + 8 if inst.type.format == "posit" else prec
             registry = self.metrics
             if registry is not None:
                 registry.observe(f"precision.op.{op}.bits", prec)
-                registry.observe("precision.guard_bits", work - prec)
                 registry.inc("precision.rounding." + RNDN.value)
-            a = self._as_bigfloat(a, work)
-            b = self._as_bigfloat(b, work)
+            a = self._as_bigfloat(a, prec)
+            b = self._as_bigfloat(b, prec)
             words = max(1, prec // 64)
             self.accounting.charge("vpfloat_native",
                                    costs.f64_other * words)
-            result = kernel(a, b, work, RNDN)
-            if inst.type.format == "posit":
-                # Tapered rounding: round the exact result to the nearest
-                # representable posit.
-                result = self._posit_round(result, inst.type, frame)
-            elif inst.type.format == "mpfr":
+            result = kernel(a, b, prec, RNDN)
+            if inst.type.format == "mpfr":
                 result = self._clamp_mpfr_exponent(result, inst.type, frame)
             return result
         if inst.type.is_float:
@@ -740,14 +713,6 @@ class Interpreter:
             return BigFloat.zero(value.prec, value.sign)
         return value
 
-    def _posit_round(self, value: BigFloat, vptype, frame) -> BigFloat:
-        # Attributes are read from the frame on every call (they may be
-        # dynamic and change between iterations); only the validated
-        # PositConfig object is cached, keyed by attribute value.
-        config = self._posit_config(self._attr(vptype.exp_attr, frame),
-                                    self._attr(vptype.prec_attr, frame))
-        return posit_round(value, config)
-
     def _as_bigfloat(self, value, prec: int) -> BigFloat:
         if isinstance(value, BigFloat):
             return value
@@ -819,10 +784,6 @@ class Interpreter:
         if opcode in ("sitofp", "uitofp"):
             if target.is_vpfloat:
                 prec, _ = self.vp_config(target, frame)
-                if target.format == "posit":
-                    return self._posit_round(
-                        BigFloat.from_int(int(value), max(prec + 8, 64)),
-                        target, frame)
                 return BigFloat.from_int(int(value), prec)
             result = float(int(value))
             return _f32(result) if target.bits == 32 else result
@@ -842,9 +803,6 @@ class Interpreter:
                 )
             if target.is_vpfloat:
                 prec, _ = self.vp_config(target, frame)
-                if target.format == "posit":
-                    return self._posit_round(
-                        self._as_bigfloat(value, prec + 8), target, frame)
                 return self._as_bigfloat(value, prec).round_to(prec)
             # vpfloat -> IEEE
             result = value.to_float() if isinstance(value, BigFloat) \
@@ -1079,14 +1037,10 @@ class Interpreter:
                 is_vp = result_type.is_vpfloat
                 prec, _ = self.vp_config(result_type, frame) \
                     if is_vp else (53, 8)
-                work = prec + 8 if (is_vp and
-                                    result_type.format == "posit") else prec
-                a, bb, c = (self._as_bigfloat(v, work) for v in args)
+                a, bb, c = (self._as_bigfloat(v, prec) for v in args)
                 words = max(1, prec // 64)
                 charge("vp_math", costs.f64_mul * words * words)
-                result = kernel(a, bb, c, work)
-                if is_vp and result_type.format == "posit":
-                    result = self._posit_round(result, result_type, frame)
+                result = kernel(a, bb, c, prec)
                 return result if is_vp else result.to_float()
 
             return handler

@@ -32,13 +32,6 @@ from .format import (
     sizeof_vpfloat,
 )
 from .glayer import MAX_WGP, GCycleModel, GLayerError, GLayerUnit
-from .posit import (
-    PositConfig,
-    PositConfigError,
-    posit_decode,
-    posit_encode,
-    posit_round,
-)
 
 __all__ = [
     "UnumConfig",
@@ -66,9 +59,4 @@ __all__ = [
     "MemoryCycleModel",
     "MemorySubsystemErratum",
     "NUM_GREGISTERS",
-    "PositConfig",
-    "PositConfigError",
-    "posit_encode",
-    "posit_decode",
-    "posit_round",
 ]

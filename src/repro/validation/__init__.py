@@ -45,13 +45,11 @@ from .corpus import (
 )
 from .fuzzer import (
     ALL_ROUNDING_MODES,
-    BATCH_LANES,
     ENGINE_CONFIGS,
     FuzzOp,
     FuzzProgram,
     Mismatch,
     cross_check,
-    cross_check_batched,
     cross_check_engines,
     cross_check_rounding,
     eval_mpfr_api,
@@ -70,7 +68,6 @@ from .minimize import minimize
 
 __all__ = [
     "ALL_ROUNDING_MODES",
-    "BATCH_LANES",
     "CERTIFICATE_VERSION",
     "Certificate",
     "CertificateError",
@@ -86,7 +83,6 @@ __all__ = [
     "compare_reports",
     "corpus_dir",
     "cross_check",
-    "cross_check_batched",
     "cross_check_engines",
     "cross_check_rounding",
     "eval_mpfr_api",

@@ -58,20 +58,10 @@ _TRAFFIC_FIELDS = (
 #:
 #: * ``engine↔engine`` -- any pair of execution engines over one
 #:   compiled program (jit/legacy).
-#: * ``serial↔batched`` -- one serial jit run against each lane of a
-#:   batched SPMD execution; every lane's value and the shared cycle
-#:   report must match the serial run bit-for-bit.
-#: * ``serial↔service`` -- a batch-CLI-equivalent serial run against
-#:   each reply the compile/run daemon produced for the same request
-#:   (possibly coalesced into a batched dispatch, retried on a fresh
-#:   shard, or served from the shared artifact store); the daemon is
-#:   transport, so values and cycle reports must match bit-for-bit.
 #: * ``pool.on↔pool.off`` -- the MPFR free-list toggle.
 #: * ``O3↔O0`` / ``O3↔O3-minus-one-pass`` -- optimization transitions.
 TRANSITIONS = {
     "engine↔engine": "exact",
-    "serial↔batched": "exact",
-    "serial↔service": "exact",
     "pool.on↔pool.off": "traffic",
     "O3↔O0": "sane",
     "O3↔O3-minus-one-pass": "sane",

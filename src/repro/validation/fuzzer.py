@@ -33,12 +33,7 @@ from ..bigfloat import BigFloat, arith, convert
 from ..bigfloat.mpfr_api import MpfrLibrary
 from ..bigfloat.rounding import RNDA, RNDD, RNDN, RNDU, RNDZ, RoundingMode
 from ..observability import current_metrics
-from .certificate import (
-    TRANSITIONS,
-    compare_reports,
-    report_snapshot,
-    value_token,
-)
+from .certificate import value_token
 
 FUZZ_FORMAT_VERSION = 1
 
@@ -336,65 +331,16 @@ def cross_check_engines(program: FuzzProgram,
     return None
 
 
-#: Lane counts the batched differential sweeps (kept small: every lane
-#: of a fuzz program computes the same values, so two sizes suffice to
-#: exercise broadcast, the fused kernels, and the report invariant).
-BATCH_LANES: Tuple[int, ...] = (2, 5)
-
-
-def cross_check_batched(program: FuzzProgram,
-                        lanes: Sequence[int] = BATCH_LANES
-                        ) -> Optional[Mismatch]:
-    """Batched-engine differential: the ``serial↔batched`` transition.
-
-    Compiles the rendered source for the mpfr jit engine, runs it once
-    serially, then as a batch of N lanes for each N in ``lanes``; every
-    lane's value must be bit-identical to the serial run and the shared
-    cycle report must satisfy the transition's invariant
-    (:data:`~repro.validation.certificate.TRANSITIONS`, ``exact``).  A
-    batch that bails out to per-lane serial execution still passes --
-    the fallback path is itself the serial engine."""
-    from ..core import compile_source
-
-    strictness = TRANSITIONS["serial↔batched"]
-    source = program.render_source()
-    compiled = compile_source(source, backend="mpfr", opt_level=3,
-                              engine="jit")
-    serial = compiled.run("f", [], engine="jit")
-    reference = value_token(serial.value)
-    reference_report = report_snapshot(serial.report)
-    for n in lanes:
-        batch = compiled.run_batch("f", [], lanes=n)
-        for i in range(n):
-            token = value_token(batch.values[i])
-            if token != reference:
-                return Mismatch("batch", f"mpfr.O3.jit.batch{n}.lane{i}",
-                                "mpfr.O3.jit.serial", repr(reference),
-                                repr(token))
-            detail = compare_reports(reference_report,
-                                     report_snapshot(batch.reports[i]),
-                                     strictness)
-            if detail is not None:
-                return Mismatch(
-                    "batch", f"mpfr.O3.jit.batch{n}.lane{i}.report",
-                    "mpfr.O3.jit.serial", repr(reference_report),
-                    f"{report_snapshot(batch.reports[i])!r} ({detail})")
-    return None
-
-
-def cross_check(program: FuzzProgram, engines: bool = True,
-                batched: bool = True) -> Optional[Mismatch]:
-    """Full differential: rounding-mode sweep, the compiled
-    engine/optimization sweep, then the batched-engine sweep.  None
-    when everything agrees."""
+def cross_check(program: FuzzProgram,
+                engines: bool = True) -> Optional[Mismatch]:
+    """Full differential: rounding-mode sweep, then the compiled
+    engine/optimization sweep.  None when everything agrees."""
     registry = current_metrics()
     if registry is not None:
         registry.inc("validate.fuzz.programs")
     mismatch = cross_check_rounding(program)
     if mismatch is None and engines:
         mismatch = cross_check_engines(program)
-    if mismatch is None and engines and batched:
-        mismatch = cross_check_batched(program)
     if registry is not None:
         registry.inc("validate.fuzz.failures" if mismatch
                      else "validate.fuzz.passed")

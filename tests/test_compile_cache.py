@@ -308,106 +308,3 @@ double f(int n) {
         assert _codegen_payload_ok({"functions": {"f": record}})
         record[field] = value
         assert not _codegen_payload_ok({"functions": {"f": record}})
-
-
-class TestDiskEviction:
-    """Size-bounded disk tier: LRU eviction honours ``max_disk_bytes``
-    without ever breaking the bit-identical-recompile contract."""
-
-    @staticmethod
-    def _entry_bytes(tmp_path, payload) -> int:
-        probe = CompileCache(tmp_path / "probe", memory_slots=0)
-        probe.put("probe", payload)
-        _, total = probe.disk_usage()
-        return total
-
-    def test_budget_evicts_least_recently_stored(self, tmp_path):
-        import os
-
-        payload = b"x" * 1000
-        one = self._entry_bytes(tmp_path, payload)
-        cache = CompileCache(tmp_path / "c", memory_slots=0,
-                             max_disk_bytes=2 * one + one // 2)
-        for offset, key in enumerate(("a", "b", "c")):
-            cache.put(key, payload)
-            # Deterministic recency regardless of clock resolution.
-            path = cache._path(key)
-            if path.exists():
-                os.utime(path, (1_000_000 + offset, 1_000_000 + offset))
-        entries, total = cache.disk_usage()
-        assert entries == 2
-        assert total <= cache.max_disk_bytes
-        assert cache.get("a") is None  # the oldest entry paid
-        assert cache.get("b") is not None
-        assert cache.get("c") is not None
-        assert cache.stats.evictions == 1
-
-    def test_disk_hit_refreshes_recency(self, tmp_path):
-        import os
-
-        payload = b"x" * 1000
-        one = self._entry_bytes(tmp_path, payload)
-        cache = CompileCache(tmp_path / "c", memory_slots=0,
-                             max_disk_bytes=2 * one + one // 2)
-        cache.put("a", payload)
-        cache.put("b", payload)
-        os.utime(cache._path("a"), (1_000_000, 1_000_000))
-        os.utime(cache._path("b"), (1_000_010, 1_000_010))
-        assert cache.get("a") is not None  # refreshes a's mtime to now
-        cache.put("c", payload)
-        assert cache.get("b") is None  # b, not the hot a, was LRU
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
-
-    def test_codegen_sidecar_evicts_with_its_entry(self, tmp_path):
-        import os
-
-        payload = b"x" * 1000
-        one = self._entry_bytes(tmp_path, payload)
-        cache = CompileCache(tmp_path / "c", memory_slots=0,
-                             max_disk_bytes=2 * one)
-        cache.put("a", payload)
-        cache.put_codegen("a", {"version": 1, "functions": {}})
-        sidecar = (tmp_path / "c" / "a.vpcgen")
-        assert sidecar.exists()
-        os.utime(cache._path("a"), (1_000_000, 1_000_000))
-        os.utime(sidecar, (1_000_000, 1_000_000))
-        cache.put("b", payload)
-        cache.put("c", payload)
-        assert cache.get("a") is None
-        assert not sidecar.exists()
-
-    def test_evict_then_recompile_round_trip(self, tmp_path):
-        """An evicted program costs exactly a recompile and the
-        recompiled program is bit-identical to the evicted one."""
-        other = source_for("gemm", "vpfloat<mpfr, 16, 256>")
-        # Budget sized off the first program: holds one, not two.
-        probe = CompileCache(tmp_path / "probe", memory_slots=0)
-        CompilerDriver(backend="mpfr", cache=probe).compile(SOURCE,
-                                                            name="m")
-        _, one_program = probe.disk_usage()
-        cache = CompileCache(tmp_path / "c", memory_slots=0,
-                             max_disk_bytes=one_program + one_program // 2)
-        driver = CompilerDriver(backend="mpfr", cache=cache)
-        baseline = driver.compile(SOURCE, name="m").run("run", [4])
-        driver.compile(other, name="m")  # evicts the first program
-        assert cache.stats.evictions >= 1
-        misses_before = cache.stats.misses
-        rerun = driver.compile(SOURCE, name="m").run("run", [4])
-        assert cache.stats.misses == misses_before + 1  # recompiled
-        assert rerun.value == baseline.value
-        assert rerun.report.cycles == baseline.report.cycles
-        assert dict(rerun.report.by_category) == \
-            dict(baseline.report.by_category)
-
-    def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = CompileCache(tmp_path / "c", memory_slots=0)
-        for key in ("a", "b", "c", "d"):
-            cache.put(key, b"x" * 10_000)
-        entries, _ = cache.disk_usage()
-        assert entries == 4
-        assert cache.stats.evictions == 0
-
-    def test_negative_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            CompileCache(tmp_path / "c", max_disk_bytes=-1)

@@ -9,11 +9,8 @@ Three layers, matching the feature's own structure:
 * the *compiled kernels* must be bit-identical to the ``arith.<op>``
   library on finite, special, and mixed-precision operands (the latter
   exercising the fallback hooks);
-* the *plumbing*: KernelStats accounting, metrics counters, and the
-  service run-option whitelist.
+* the *plumbing*: KernelStats accounting and metrics counters.
 """
-
-import asyncio
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,30 +242,3 @@ def test_unobserved_runs_skip_tier_stats():
         SOURCE, name="k")
     interp = program.interpreter()
     assert interp.kernel_stats is None  # raw kernels, no counting
-
-
-def test_service_rejects_kernel_tier(tmp_path):
-    """A run request carrying the kernel-tier option, which is not a
-    run option, gets a structured ``bad_request`` naming it."""
-    from service_utils import FTYPE, connect, service
-
-    from repro.service import ServiceError
-
-    stale_option = "kernel_" + "tier"
-
-    async def scenario():
-        async with service(tmp_path, workers=1) as daemon:
-            client = await connect(daemon)
-            try:
-                await client.call("run", kernel="gemm", ftype=FTYPE,
-                                  n=4, backend="mpfr",
-                                  options={stale_option: "generic"})
-                raise AssertionError(f"{stale_option} was accepted")
-            except ServiceError as error:
-                assert error.code == "bad_request"
-                assert stale_option in str(error)
-            # The connection survives the rejection.
-            assert (await client.call("ping"))["pong"] is True
-            await client.close()
-
-    asyncio.run(scenario())

@@ -50,10 +50,14 @@ class TestVPFloatTypes:
         assert isinstance(func.params[0].type, PointerT)
         assert isinstance(func.params[0].type.pointee, VPFloatT)
 
-    def test_posit_accepted(self):
-        """posit joined mpfr/unum as a supported format (DESIGN.md §5)."""
-        func = parse_one("void f(vpfloat<posit, 2, 16> x) {}")
-        assert func.params[0].type.format == "posit"
+    def test_posit_rejected(self):
+        """The paper's formats are mpfr and unum; posit is not one, and
+        the diagnostic names the formats the toolchain accepts."""
+        with pytest.raises(SourceError) as err:
+            parse("void f(vpfloat<posit, 2, 16> x) {}")
+        message = str(err.value)
+        assert "unknown vpfloat format 'posit'" in message
+        assert "supported: mpfr, unum" in message
 
     def test_bfloat16_reports_no_backend(self):
         """The grammar admits bfloat16 (paper's syntax), but the

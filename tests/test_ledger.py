@@ -147,15 +147,22 @@ def test_run_records_compile_run_eval_point(tmp_path):
     assert point["wall_seconds"] > 0
 
 
-def test_batch_run_records_lanes(tmp_path):
+def test_retired_batch_and_service_events_rejected(tmp_path):
+    """The batched engine and the compile/run daemon are gone: their
+    record kinds no longer validate, and run records carry no lane
+    count."""
+    ledger = RunLedger(tmp_path / "retired.jsonl")
+    for event in ("batch_run", "service"):
+        with pytest.raises(LedgerError):
+            ledger.record(event, cycles=1)
+        with pytest.raises(LedgerError):
+            validate_record({"schema": LEDGER_SCHEMA_VERSION,
+                             "event": event, "ts": 0.0, "host": {}})
     path = tmp_path / "ledger.jsonl"
     with ledger_session(path):
-        run_kernel("gemm", MPFR, 4, backend="mpfr", batch=3)
+        run_kernel("gemm", MPFR, 4, backend="mpfr")
     records, _ = read_ledger(path)
-    batch = [r for r in records if r["event"] == "batch_run"]
-    assert len(batch) == 1 and batch[0]["lanes"] == 3
-    point = [r for r in records if r["event"] == "eval_point"][0]
-    assert point["lanes"] == 3
+    assert records and all("lanes" not in r for r in records)
 
 
 def test_cross_process_grid_integrity(tmp_path):
@@ -189,7 +196,7 @@ def _bench_record(cycles, wall, n=6, kernel="gemm"):
     return {"schema": LEDGER_SCHEMA_VERSION, "event": "bench",
             "ts": 0.0, "host": {"hostname": "h", "pid": 1},
             "kernel": kernel, "ftype": MPFR, "n": n, "backend": "mpfr",
-            "engine": "jit", "lanes": None, "cycles": cycles,
+            "engine": "jit", "cycles": cycles,
             "instructions": cycles // 2, "wall_seconds": wall}
 
 
@@ -202,18 +209,17 @@ def test_compare_identical_ledgers_is_clean():
 
 
 def test_compare_reports_unmatched_keys_as_skipped():
-    # Baseline cases the candidate no longer runs (a serial row, a
-    # retired engine) and a candidate-only batched row: the serial and
-    # batched keys differ only in the lane count, None vs 4.
+    # Baseline cases the candidate no longer runs (a dropped size, a
+    # retired engine) and a candidate-only new size.
     shared = _bench_record(1000, 0.01, n=8)
-    serial = _bench_record(1000, 0.01)
+    dropped = _bench_record(1000, 0.01)
     retired = dict(_bench_record(1000, 0.01), engine="fast")
-    batched = dict(_bench_record(1000, 0.01), lanes=4)
+    added = _bench_record(1000, 0.01, n=4)
     regressions, _, compared, skipped = compare_ledgers(
-        [shared, serial, retired], [shared, batched])
+        [shared, dropped, retired], [shared, added])
     assert regressions == [] and compared > 0
-    assert {(key[5], key[6]) for key in skipped} == \
-        {("jit", None), ("fast", None), ("jit", 4)}
+    assert {(key[3], key[5]) for key in skipped} == \
+        {(6, "jit"), (6, "fast"), (4, "jit")}
 
 
 def test_compare_flags_deterministic_regression():
@@ -243,7 +249,24 @@ def test_compare_gate_wall_requires_same_host():
                                                      gate_wall=True)
     assert compared_on > compared_auto  # wall only examined when gated
     assert any(r.metric == "wall_seconds" for r in regressions)
-    assert any(r.metric == "wall_seconds" for r in regressions)
+
+
+def test_compare_gate_wall_needs_the_whole_host_envelope():
+    """A shared hostname is not a shared host (sandboxes and CI runners
+    reuse names across machines): a different platform, CPU count or
+    Python leaves wall time ungated; only the pid may differ."""
+    host = {"hostname": "vm", "platform": "Linux-6.18.5-x86_64",
+            "cpu_count": 1, "python": "3.12.0", "pid": 1}
+    base = [dict(_bench_record(1000, 0.010), host=host)]
+    for field, value in (("platform", "Linux-6.18.44-x86_64"),
+                         ("cpu_count", 2), ("python", "3.13.0")):
+        cand = [dict(_bench_record(1000, 0.100),
+                     host=dict(host, pid=2, **{field: value}))]
+        regressions, _, _, _ = compare_ledgers(base, cand, gate_wall=None)
+        assert regressions == [], field
+    cand = [dict(_bench_record(1000, 0.100), host=dict(host, pid=2))]
+    regressions, _, _, _ = compare_ledgers(base, cand, gate_wall=None)
+    assert [r.metric for r in regressions] == ["wall_seconds"]
 
 
 def test_comparison_key_groups_by_configuration():

@@ -4,8 +4,7 @@ The sweep engine promises graceful degradation: a broken worker pool
 falls back to the serial engine with identical results, task-level
 failures surface as :class:`EvaluationTaskError` (lowest index first)
 without discarding siblings, and the sharding function is a pure
-function of the grid.  These paths double as the substrate of the
-compile/run service's worker pool, so they get direct coverage here.
+function of the grid.
 """
 
 import os
@@ -135,17 +134,15 @@ class TestPoolDeathRecovery:
 
 
 class TestWorkerRuntimeInit:
-    """init_worker_runtime is shared by sweep shards and the service's
-    worker pool; its installs must be observable and reversible."""
+    """init_worker_runtime sets up each sweep shard; its installs must
+    be observable and reversible."""
 
-    def test_installs_bounded_cache(self, tmp_path):
+    def test_installs_compile_cache(self, tmp_path):
         previous = get_compile_cache()
         try:
-            init_worker_runtime(str(tmp_path / "store"), True, None,
-                                max_cache_bytes=4096)
+            init_worker_runtime(str(tmp_path / "store"), True, None)
             cache = get_compile_cache()
             assert isinstance(cache, CompileCache)
-            assert cache.max_disk_bytes == 4096
             assert str(cache.directory) == str(tmp_path / "store")
         finally:
             set_compile_cache(previous)
