@@ -29,18 +29,15 @@ matches :class:`~repro.backends.mpfr_lowering.MPFRLoweringPass`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..ir import (
     CallInst,
-    CastInst,
     ConstantVPFloat,
-    FunctionType,
     I32,
     Instruction,
     LoadInst,
     PhiInst,
-    SelectInst,
     StoreInst,
     Value,
     VOID,
@@ -50,7 +47,6 @@ from .mpfr_lowering import (
     MPFR_PTR,
     MPFR_STRUCT,
     MPFRLoweringPass,
-    is_mpfr_vpfloat,
 )
 
 
@@ -93,7 +89,6 @@ class BoostLoweringPass(MPFRLoweringPass):
         self._pending_clears: List = []
         self._current_inst: Optional[Instruction] = None
         super()._lower_function(func)
-        self._insert_statement_clears()
 
     def _lower_instruction(self, inst: Instruction) -> None:
         self._current_inst = inst
@@ -144,14 +139,14 @@ class BoostLoweringPass(MPFRLoweringPass):
     # Statement-end destructor calls
     # ------------------------------------------------------------ #
 
-    def _insert_statement_clears(self) -> None:
+    def _place_temp_lifetimes(self) -> None:
         """Each temporary's destructor runs after its last use in the
         block where it was constructed -- inside loop bodies."""
         clear = self._declare("mpfr_clear", VOID, (MPFR_PTR,))
         for temp, block in self._pending_clears:
             # A "temporary" that escapes its statement block (loop-carried
             # accumulator through a phi, cross-block use) models a *named*
-            # C++ variable: it keeps the function-exit destructor instead.
+            # C++ variable: no statement-end destructor.
             escapes = any(
                 user.parent is not block or isinstance(user, PhiInst)
                 for user in temp.users
@@ -171,11 +166,7 @@ class BoostLoweringPass(MPFRLoweringPass):
                         # every use and is dominated by its operand.
                         insert_at = entry.instructions.index(temp) + 1
                         entry.instructions.insert(insert_at, user)
-                if temp not in self.scalar_clears:
-                    self.scalar_clears.append(temp)
                 continue
-            if temp in self.scalar_clears:
-                self.scalar_clears.remove(temp)  # no function-exit clear
             last = None
             for inst in block.instructions:
                 for op in getattr(inst, "operands", ()):

@@ -51,7 +51,6 @@ from ..ir import (
     I64,
     ICmpInst,
     Instruction,
-    IntType,
     IRType,
     LoadInst,
     Module,
@@ -61,6 +60,7 @@ from ..ir import (
     SelectInst,
     StoreInst,
     StructType,
+    UndefValue,
     VOID,
     Value,
     VPFloatType,
@@ -211,6 +211,12 @@ class MPFRLoweringPass(ModulePass):
         self._deferred_casts: Dict[int, CastInst] = {}
         self._entry_insert_index = 0
 
+        #: vpfloat phis with their value type: after Pass A they name
+        #: MPFR objects by pointer.
+        self._vp_phis: List[Tuple[PhiInst, VPFloatType]] = []
+        #: calls whose first operand is a StructRet destination.
+        self._sret_calls: set = set()
+
         # Pass A: retype pointer-typed values in place (arguments were
         # retyped by _rewrite_signature; geps/phis/selects keep their
         # instruction identity, only the type changes).
@@ -219,6 +225,8 @@ class MPFRLoweringPass(ModulePass):
                 inst.type = _map_type(inst.type)
             elif isinstance(inst, (PhiInst, SelectInst)) and \
                     is_mpfr_vpfloat(inst.type):
+                if isinstance(inst, PhiInst):
+                    self._vp_phis.append((inst, inst.type))
                 inst.type = MPFR_PTR
             elif isinstance(inst, (PhiInst, SelectInst, LoadInst)) and \
                     _contains_mpfr(inst.type) and \
@@ -249,6 +257,9 @@ class MPFRLoweringPass(ModulePass):
                                 if isinstance(inst, PhiInst) else inst
                             inst.set_operand(
                                 i, self._materialize_literal(op, near))
+
+        self._place_temp_lifetimes()
+        self._assign_phi_objects()
 
         # Object reuse (paper item 7): coalesce temporaries with disjoint
         # single-block live ranges.
@@ -343,6 +354,125 @@ class MPFRLoweringPass(ModulePass):
             self.scalar_clears.remove(temp)
         if not temp.users:
             temp.erase_from_parent()
+
+    # ------------------------------------------------------------ #
+    # Phi objects (out-of-SSA copies: Briggs et al. 1998, Boissinot
+    # et al. 2009)
+    # ------------------------------------------------------------ #
+
+    def _place_temp_lifetimes(self) -> None:
+        """Hook for lowerings that scope temporaries to statements.  It
+        runs before phi objects are assigned, so the lifetime calls it
+        places count as writes."""
+
+    def _assign_phi_objects(self) -> None:
+        """Give a vpfloat phi its own MPFR object where aliasing an
+        incoming object would lose a value.
+
+        A lowered phi names whichever object its incoming edge carried.
+        That is sound only while no write reaches an object the phi may
+        name during its live range: op destinations, StructRet calls,
+        use-site ``mpfr_init2``, and the copies into other phi objects
+        on the same edge.  A phi failing that test gets an entry object
+        filled by ``mpfr_set`` on every incoming edge; the copies of one
+        edge form a parallel copy and are sequentialized.  Element
+        pointers (geps) are not tracked, so phis that carry element
+        aliases keep their lowering.  Selects are not considered: the
+        frontend lowers ``?:`` to branches, and no pass forms vpfloat
+        selects.
+        """
+        phis = [phi for phi, _ in self._vp_phis if phi.parent is not None]
+        if not phis:
+            return
+        owned = _PhiInterference(self.func, phis, self._sret_calls).solve()
+        if not owned:
+            return
+        types = {id(phi): vptype for phi, vptype in self._vp_phis}
+        objects = [(phi, self._phi_object(types[id(phi)]), types[id(phi)])
+                   for phi in owned]
+        for phi, obj, _ in objects:
+            phi.replace_all_uses_with(obj)
+        for header in _unique_parents(owned):
+            group = [(phi, obj, vptype) for phi, obj, vptype in objects
+                     if phi.parent is header]
+            for pred in header.predecessors():
+                copies = [(obj, phi.incoming_for_block(pred), vptype,
+                           self._attr_on_edge(vptype.prec_attr, header, pred),
+                           self._attr_on_edge(vptype.exp_attr, header, pred))
+                          for phi, obj, vptype in group]
+                self._emit_parallel_copy(self._edge_block(pred, header),
+                                         copies)
+            for phi, _, _ in group:
+                phi.drop_all_references()
+                header.instructions.remove(phi)
+                phi.parent = None
+
+    def _phi_object(self, vptype: VPFloatType) -> Value:
+        """The entry-resident object of a phi; initialized at the entry
+        when its attributes are available there, else before each copy
+        into it."""
+        alloca = AllocaInst(MPFR_STRUCT)
+        self._insert_at_entry(alloca, "mpfr.phi")
+        if self._attr_at_entry(vptype.prec_attr) and \
+                self._attr_at_entry(vptype.exp_attr):
+            init2 = self._declare("mpfr_init2", VOID, (MPFR_PTR, I32, I32))
+            self._insert_at_entry(CallInst(init2, [alloca, vptype.prec_attr,
+                                                   vptype.exp_attr]))
+        self.scalar_clears.append(alloca)
+        return alloca
+
+    @staticmethod
+    def _attr_on_edge(attr: Value, header, pred) -> Value:
+        """An attribute's value on the edge ``pred -> header``."""
+        if isinstance(attr, PhiInst) and attr.parent is header:
+            return attr.incoming_for_block(pred)
+        return attr
+
+    def _edge_block(self, pred, header):
+        """The block where copies on ``pred -> header`` go: ``pred``
+        itself unless the edge is critical, else a new block on it."""
+        if len(pred.successors()) == 1:
+            return pred
+        split = self.func.add_block("phi.edge", after=pred)
+        split.append(BranchInst([header]))
+        pred.terminator.replace_target(header, split)
+        for phi in header.phis():
+            phi.replace_incoming_block(pred, split)
+        return split
+
+    def _emit_parallel_copy(self, block, copies) -> None:
+        """Sequentialize ``dest <- source`` copies that happen at once:
+        a copy goes when no pending copy still reads its destination; a
+        cycle is broken by saving one destination first."""
+        position = block.terminator
+        setter = self._declare("mpfr_set", VOID, (MPFR_PTR, MPFR_PTR))
+        init2 = self._declare("mpfr_init2", VOID, (MPFR_PTR, I32, I32))
+
+        def emit(dest, source, vptype, prec, exp):
+            if not (self._attr_at_entry(vptype.prec_attr)
+                    and self._attr_at_entry(vptype.exp_attr)):
+                self._insert_before(block, position,
+                                    CallInst(init2, [dest, prec, exp]))
+            self._insert_before(block, position,
+                                CallInst(setter, [dest, source]))
+
+        # Nothing to copy from a phi's own object or from undef.
+        pending = [copy for copy in copies if copy[1] is not copy[0]
+                   and not isinstance(copy[1], UndefValue)]
+        while pending:
+            read = [copy[1] for copy in pending]
+            for k, copy in enumerate(pending):
+                if not any(copy[0] is source for source in read):
+                    emit(*copy)
+                    del pending[k]
+                    break
+            else:
+                # A cycle: save one destination, then read the saved copy.
+                dest, _, vptype, prec, exp = pending[0]
+                saved = self._phi_object(vptype)
+                emit(saved, dest, vptype, prec, exp)
+                pending = [(d, saved if source is dest else source, *rest)
+                           for d, source, *rest in pending]
 
     # ------------------------------------------------------------ #
     # Helpers
@@ -832,12 +962,23 @@ class MPFRLoweringPass(ModulePass):
         block = inst.parent
         position = block.instructions[block.instructions.index(inst) + 1]
         if is_mpfr_vpfloat(old_type) and inst.count is None:
-            # Scalar local that stayed in memory (escaped address).
+            # Scalar local that stayed in memory (escaped address, or
+            # -O0).  Its slot moves to the entry, the way clang hoists
+            # allocas, so it dominates the clears at every return; the
+            # init moves along when the attributes are available there.
             prec = self._prec_value(old_type)
-            init2 = self._declare("mpfr_init2", VOID, (MPFR_PTR, I32, I32))
-            self._insert_before(block, position,
-                                CallInst(init2, [inst, prec,
-                                                 old_type.exp_attr]))
+            init2 = CallInst(self._declare("mpfr_init2", VOID,
+                                           (MPFR_PTR, I32, I32)),
+                             [inst, prec, old_type.exp_attr])
+            hoist = block is not self.func.entry
+            if hoist:
+                block.instructions.remove(inst)
+                self._insert_at_entry(inst)
+            if hoist and self._attr_at_entry(prec) and \
+                    self._attr_at_entry(old_type.exp_attr):
+                self._insert_at_entry(init2)
+            else:
+                self._insert_before(block, position, init2)
             self.scalar_clears.append(inst)
             return
         # Array (fixed or VLA) of vpfloat elements.
@@ -904,6 +1045,7 @@ class MPFRLoweringPass(ModulePass):
             dest = self._acquire_temp(inst.type, inst)
             new_call = CallInst(callee, [dest] + args, result_type=VOID)
             self._insert_before(block, inst, new_call)
+            self._sret_calls.add(new_call)
             self._map_pointer(inst, dest)
             inst.replace_all_uses_with(dest)
             inst.erase_from_parent()
@@ -964,3 +1106,150 @@ class MPFRLoweringPass(ModulePass):
     def _dominates_ret(self, base: Value, ret_block) -> bool:
         # Conservative: only clear arrays allocated in the entry block.
         return getattr(base, "parent", None) is self.func.entry
+
+
+#: Lowered library calls that only read their MPFR operands.
+_READ_ONLY_CALLS = frozenset((
+    "mpfr_cmp", "mpfr_cmp_d", "mpfr_get_d", "mpfr_get_si",
+    "__mpfr_store_global", "__mpfr_array_clear", "__sizeof_vpfloat_mpfr",
+))
+
+
+def _written_objects(inst: Instruction, sret_calls) -> Tuple[Value, ...]:
+    """The MPFR objects a lowered call writes."""
+    if not isinstance(inst, CallInst) or not inst.operands:
+        return ()
+    if inst in sret_calls:
+        return (inst.operands[0],)
+    name = getattr(inst.callee, "name", "")
+    if not (name.startswith("mpfr_") or name.startswith("__mpfr_")) or \
+            name in _READ_ONLY_CALLS:
+        return ()
+    if name == "mpfr_swap":
+        return tuple(inst.operands[:2])
+    return (inst.operands[0],)
+
+
+def _unique_parents(insts) -> list:
+    parents: list = []
+    for inst in insts:
+        if not any(inst.parent is p for p in parents):
+            parents.append(inst.parent)
+    return parents
+
+
+class _PhiInterference:
+    """Which lowered vpfloat phis must stop aliasing incoming objects.
+
+    Liveness of every phi is computed once per function, by path
+    exploration from its uses.  Ownership then grows to a fixpoint,
+    because a phi that gets its own object adds copies on its incoming
+    edges.  Only allocas and arguments count as objects; element
+    pointers do not.
+    """
+
+    def __init__(self, func: Function, phis: List[PhiInst], sret_calls):
+        self.phis = phis
+        self.preds: Dict[int, list] = {id(b): [] for b in func.blocks}
+        position: Dict[int, int] = {}
+        for block in func.blocks:
+            for succ in block.successors():
+                self.preds[id(succ)].append(block)
+            for index, inst in enumerate(block.instructions):
+                position[id(inst)] = index
+        self.position = position
+        self.live = {id(phi): self._liveness(phi) for phi in phis}
+        self.writes = [
+            (block, position[id(inst)], obj)
+            for block in func.blocks for inst in block.instructions
+            for obj in _written_objects(inst, sret_calls)
+            if isinstance(obj, (AllocaInst, Argument))
+        ]
+
+    def _liveness(self, phi: PhiInst):
+        """(live-in blocks, live-out blocks, edges carrying the phi into
+        another phi, last use index per block), by block id."""
+        home = phi.parent
+        live_in: set = set()
+        live_out: set = set()
+        edges: set = set()
+        last_use: Dict[int, int] = {}
+        work: list = []
+        for user in phi.users:
+            if isinstance(user, PhiInst):
+                for incoming, pred in user.incoming:
+                    if incoming is phi:
+                        edges.add((id(pred), id(user.parent)))
+                        live_out.add(id(pred))
+                        work.append(pred)
+            else:
+                block = user.parent
+                index = self.position[id(user)]
+                last_use[id(block)] = max(last_use.get(id(block), -1), index)
+                work.append(block)
+        while work:
+            block = work.pop()
+            if block is home or id(block) in live_in:
+                continue
+            live_in.add(id(block))
+            for pred in self.preds[id(block)]:
+                live_out.add(id(pred))
+                work.append(pred)
+        return live_in, live_out, edges, last_use
+
+    def _names(self, value: Value, names: Dict[int, frozenset]) -> frozenset:
+        if isinstance(value, PhiInst) and id(value) in names:
+            return names[id(value)]
+        if isinstance(value, (AllocaInst, Argument)):
+            return frozenset((id(value),))
+        return frozenset()
+
+    def _all_names(self, owned: set) -> Dict[int, frozenset]:
+        """Objects each phi may name; an owned phi names only itself."""
+        names = {id(phi): frozenset((id(phi),)) if id(phi) in owned
+                 else frozenset() for phi in self.phis}
+        changed = True
+        while changed:
+            changed = False
+            for phi in self.phis:
+                if id(phi) in owned:
+                    continue
+                new = frozenset().union(
+                    *(self._names(v, names) for v in phi.operands))
+                if new != names[id(phi)]:
+                    names[id(phi)] = new
+                    changed = True
+        return names
+
+    def solve(self) -> List[PhiInst]:
+        owned: set = set()
+        while True:
+            names = self._all_names(owned)
+            aliasing = [phi for phi in self.phis if id(phi) not in owned]
+            grow = set()
+            for block, index, obj in self.writes:
+                for phi in aliasing:
+                    if id(obj) not in names[id(phi)]:
+                        continue
+                    _, live_out, _, last_use = self.live[id(phi)]
+                    if id(block) in live_out or \
+                            last_use.get(id(block), -1) > index:
+                        grow.add(id(phi))
+            for header in _unique_parents(
+                    [phi for phi in self.phis if id(phi) in owned]):
+                written = frozenset(id(phi) for phi in header.phis()
+                                    if id(phi) in owned)
+                for pred in self.preds[id(header)]:
+                    for phi in aliasing:
+                        if not names[id(phi)] & written:
+                            continue
+                        live_in, _, edges, _ = self.live[id(phi)]
+                        if id(header) in live_in or \
+                                (id(pred), id(header)) in edges or \
+                                (phi.parent is header and self._names(
+                                    phi.incoming_for_block(pred), names)
+                                 & written):
+                            grow.add(id(phi))
+            if not grow:
+                return [phi for phi in self.phis if id(phi) in owned]
+            owned |= grow

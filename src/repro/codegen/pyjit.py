@@ -71,7 +71,6 @@ from ..ir import (
     ICmpInst,
     LoadInst,
     PhiInst,
-    PointerType,
     RetInst,
     SelectInst,
     StoreInst,

@@ -13,10 +13,7 @@ from .ctypes import (
     CType,
     DOUBLE,
     FLOAT,
-    INT,
-    LONG,
     PointerT,
-    UNSIGNED,
     VOID,
     VPFloatT,
 )

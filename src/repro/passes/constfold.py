@@ -13,6 +13,7 @@ from typing import Optional
 
 from ..bigfloat import BigFloat, RNDN, arith
 from ..ir import (
+    Argument,
     BinaryInst,
     CastInst,
     Constant,
@@ -24,7 +25,6 @@ from ..ir import (
     Function,
     ICmpInst,
     Instruction,
-    IntType,
     SelectInst,
     Value,
 )
@@ -304,9 +304,26 @@ def _round_to_format(value: BigFloat, vptype) -> BigFloat:
     return decode(encode(value, config), config)
 
 
+def _is_identity_vpconv(source: Value, target) -> bool:
+    """``vpconv x to T`` is a no-op when ``x`` already has type ``T`` and
+    ``T`` cannot change while the function runs.  Irgen emits these
+    around every runtime-attribute operand (attributes are loaded per
+    use, so the types differ until mem2reg).  A constant may carry more
+    bits than ``T`` holds, so its conversion rounds; an attribute that
+    is an instruction (a loop-variant phi) compares equal by identity
+    but may differ between iterations, so a loop-carried value typed by
+    it still needs the conversion."""
+    return source.type == target and target.is_vpfloat and \
+        not isinstance(source, Constant) and \
+        all(isinstance(attr, (Constant, Argument))
+            for attr in target.attributes())
+
+
 def _fold_cast(inst: CastInst) -> Optional[Value]:
     source = inst.source
     target = inst.type
+    if inst.opcode == "vpconv" and _is_identity_vpconv(source, target):
+        return source
     if isinstance(source, ConstantInt):
         if inst.opcode in ("sext", "trunc", "bitcast") and target.is_integer:
             from ..runtime.interpreter import _mask_int

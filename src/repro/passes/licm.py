@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Set
 
 from ..ir import (
-    BasicBlock,
     BinaryInst,
     BranchInst,
     CallInst,
@@ -67,11 +66,14 @@ class LICMPass(FunctionPass):
         def invariant(value: Value) -> bool:
             return id(value) not in defined_in_loop
 
+        # Function block order, not set order: hoisting order must not
+        # depend on object addresses.
+        blocks = [b for b in func.blocks if b in loop.blocks]
         hoisted = 0
         changed = True
         while changed:
             changed = False
-            for block in list(loop.blocks):
+            for block in blocks:
                 for inst in list(block.instructions):
                     if not self._can_hoist(inst, loop_has_stores):
                         continue

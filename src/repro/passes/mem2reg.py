@@ -58,20 +58,24 @@ class Mem2RegPass(FunctionPass):
             return 0
         domtree = DominatorTree(func)
         frontiers = domtree.frontiers()
-        reachable = set(domtree.rpo)
+        # Blocks are hashed by identity: walk them in reverse postorder,
+        # never in set order, so phi placement and naming are the same
+        # in every process.
+        rpo_index = {block: i for i, block in enumerate(domtree.rpo)}
 
         phi_for: Dict[PhiInst, AllocaInst] = {}
         for alloca in allocas:
-            defining_blocks = {
-                user.parent for user in alloca.users
-                if isinstance(user, StoreInst) and user.parent in reachable
-            }
+            defining_blocks = sorted(
+                {user.parent for user in alloca.users
+                 if isinstance(user, StoreInst) and user.parent in rpo_index},
+                key=rpo_index.__getitem__)
             # Iterated dominance frontier.
             worklist = list(defining_blocks)
             has_phi: Set[BasicBlock] = set()
             while worklist:
                 block = worklist.pop()
-                for frontier_block in frontiers.get(block, ()):
+                for frontier_block in sorted(frontiers.get(block, ()),
+                                             key=rpo_index.__getitem__):
                     if frontier_block in has_phi:
                         continue
                     has_phi.add(frontier_block)

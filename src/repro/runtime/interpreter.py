@@ -33,7 +33,6 @@ from .. import bigfloat
 from ..bigfloat import BigFloat, MpfrLibrary, RNDN, arith
 from ..ir import (
     AllocaInst,
-    Argument,
     ArrayType,
     BinaryInst,
     BranchInst,
@@ -69,7 +68,6 @@ from ..ir import (
 )
 from ..ir.types import _validate_mpfr_attrs
 from ..observability import (
-    CAT_POOL,
     CAT_RUNTIME,
     current_ledger,
     current_metrics,

@@ -4,7 +4,9 @@ Generalizes the ad-hoc ``random_program`` strategy of
 ``tests/test_differential.py`` into a first-class generator over a small
 SSA-shaped IR (:class:`FuzzProgram`): each :class:`FuzzOp` defines one
 value from literals and earlier values (add/sub/mul/div, neg/abs/sqrt,
-and a bounded ``acc = acc * m + a`` loop).  One program drives two
+a bounded ``acc = acc * m + a`` loop, and a bounded loop that rotates
+two carried values, ``t = a + b; b = a; a = t``, with ``t`` declared in
+the body).  One program drives two
 independent differentials:
 
 * :func:`cross_check_rounding` -- evaluate the program directly through
@@ -14,7 +16,7 @@ independent differentials:
   modes**; results must be bit-identical BigFloats.
 * :func:`cross_check_engines` -- render the program to dialect source,
   compile it through the real frontend/optimizer, and execute it across
-  backends (none/mpfr/boost), optimization levels (-O0/-O3), all three
+  backends (none/mpfr/boost), optimization levels (-O0/-O3), both
   execution engines, and the pool toggle; the returned doubles must be
   bit-identical.
 
@@ -45,10 +47,14 @@ MIN_PRECISION = 24
 MAX_PRECISION = 512
 
 #: Operations over earlier values.  ``lit`` introduces a literal;
-#: ``loop`` runs ``acc = acc * m + a`` for a bounded trip count.
+#: ``loop`` runs ``acc = acc * m + a`` for a bounded trip count;
+#: ``rotate`` runs ``t = a + b; b = a; a = t`` and yields ``a``, the
+#: shape whose loop-carried values an MPFR-object lowering must not
+#: alias.  Both take the trip count as their first argument.
 BINARY_OPS = ("add", "sub", "mul", "div")
 UNARY_OPS = ("neg", "abs", "sqrt")
-ALL_OPS = ("lit",) + BINARY_OPS + UNARY_OPS + ("loop",)
+LOOP_OPS = ("loop", "rotate")
+ALL_OPS = ("lit",) + BINARY_OPS + UNARY_OPS + LOOP_OPS
 
 _SOURCE_BINOP = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
@@ -65,7 +71,8 @@ class FuzzOp:
     """One instruction: defines value ``v<i>`` from earlier values.
 
     ``args`` holds value indexes for arithmetic ops, the literal text
-    for ``lit``, and ``(trips, acc, m, a)`` for ``loop``.
+    for ``lit``, ``(trips, acc, m, a)`` for ``loop`` and ``(trips, a,
+    b)`` for ``rotate``.
     """
 
     op: str
@@ -75,7 +82,7 @@ class FuzzOp:
         """Indexes of earlier values this op reads."""
         if self.op == "lit":
             return ()
-        if self.op == "loop":
+        if self.op in LOOP_OPS:
             return tuple(self.args[1:])
         return tuple(self.args)
 
@@ -143,6 +150,14 @@ class FuzzProgram:
                 lines.append(f"  for (int i = 0; i < {trips}; i++) "
                              f"v{i} = v{i} * v{m} + v{a};")
                 continue
+            elif op.op == "rotate":
+                trips, a, b = op.args
+                lines.append(f"  {ftype} v{i} = v{a};")
+                lines.append(f"  {ftype} r{i} = v{b};")
+                lines.append(f"  for (int i = 0; i < {trips}; i++) {{ "
+                             f"{ftype} t = v{i} + r{i}; r{i} = v{i}; "
+                             f"v{i} = t; }}")
+                continue
             else:  # pragma: no cover - __post_init__ rejects these
                 raise AssertionError(op.op)
             lines.append(f"  {ftype} v{i} = {rhs};")
@@ -198,13 +213,20 @@ def eval_reference(program: FuzzProgram,
             values.append(table[op.op](values[a], values[b], prec, rm))
         elif op.op in UNARY_OPS:
             values.append(table[op.op](values[op.args[0]], prec, rm))
-        else:  # loop
+        elif op.op == "loop":
             trips, acc, m, a = op.args
             current = values[acc]
             for _ in range(trips):
                 current = table["add"](
                     table["mul"](current, values[m], prec, rm),
                     values[a], prec, rm)
+            values.append(current)
+        else:  # rotate
+            trips, a, b = op.args
+            current, other = values[a], values[b]
+            for _ in range(trips):
+                current, other = table["add"](current, other, prec, rm), \
+                    current
             values.append(current)
     return values[-1]
 
@@ -240,13 +262,24 @@ def eval_mpfr_api(program: FuzzProgram, rm: RoundingMode = RNDN,
             lib.abs(dst, handles[op.args[0]], rm)
         elif op.op == "sqrt":
             lib.sqrt(dst, handles[op.args[0]], rm)
-        else:  # loop
+        elif op.op == "loop":
             trips, acc, m, a = op.args
             lib.set(dst, handles[acc], rm)
             scratch = lib.init2(prec)
             for _ in range(trips):
                 lib.mul(scratch, dst, handles[m], rm)
                 lib.add(dst, scratch, handles[a], rm)
+            lib.clear(scratch)
+        else:  # rotate
+            trips, a, b = op.args
+            lib.set(dst, handles[a], rm)
+            other, scratch = lib.init2(prec), lib.init2(prec)
+            lib.set(other, handles[b], rm)
+            for _ in range(trips):
+                lib.add(scratch, dst, other, rm)
+                lib.set(other, dst, rm)
+                lib.set(dst, scratch, rm)
+            lib.clear(other)
             lib.clear(scratch)
     result = handles[-1].value
     for handle in handles:
@@ -304,9 +337,11 @@ ENGINE_CONFIGS: Tuple[Tuple[str, str, int, Optional[str],
     ("none.O0.jit", "none", 0, "jit", None),
     ("none.O3.legacy", "none", 3, "legacy", None),
     ("mpfr.O3.jit", "mpfr", 3, "jit", None),
+    ("mpfr.O0.jit", "mpfr", 0, "jit", None),
     ("mpfr.O3.legacy", "mpfr", 3, "legacy", None),
     ("mpfr.O3.jit.no-pool", "mpfr", 3, "jit", False),
     ("boost.O3.jit", "boost", 3, "jit", None),
+    ("boost.O0.jit", "boost", 0, "jit", None),
 )
 
 
@@ -389,14 +424,19 @@ def generate_program(rng: random.Random,
             op = rng.choice(BINARY_OPS)
             ops.append(FuzzOp(op, (rng.randrange(idx),
                                    rng.randrange(idx))))
-        elif kind < 0.90:
+        elif kind < 0.85:
             op = rng.choice(UNARY_OPS)
             ops.append(FuzzOp(op, (rng.randrange(idx),)))
-        else:
+        elif kind < 0.93:
             ops.append(FuzzOp("loop", (rng.randint(1, 5),
                                        rng.randrange(idx),
                                        rng.randrange(idx),
                                        rng.randrange(idx))))
+        else:
+            # Trip counts past loop-unroll's limit keep the loop at -O3.
+            ops.append(FuzzOp("rotate", (rng.randint(1, 12),
+                                         rng.randrange(idx),
+                                         rng.randrange(idx))))
     return FuzzProgram(prec, tuple(ops))
 
 
@@ -421,7 +461,7 @@ def fuzz_programs(max_ops: int = 10,
         n_body = draw(st.integers(1, max(1, max_ops - n_lits)))
         for _ in range(n_body):
             idx = len(ops)
-            kind = draw(st.integers(0, 9))
+            kind = draw(st.integers(0, 10))
             if kind == 0:
                 ops.append(FuzzOp("lit", (draw(_literals()),)))
             elif kind <= 6:
@@ -431,10 +471,15 @@ def fuzz_programs(max_ops: int = 10,
             elif kind <= 8:
                 op = draw(st.sampled_from(UNARY_OPS))
                 ops.append(FuzzOp(op, (draw(st.integers(0, idx - 1)),)))
-            else:
+            elif kind == 9:
                 ops.append(FuzzOp("loop",
                                   (draw(st.integers(1, 4)),
                                    draw(st.integers(0, idx - 1)),
+                                   draw(st.integers(0, idx - 1)),
+                                   draw(st.integers(0, idx - 1)))))
+            else:
+                ops.append(FuzzOp("rotate",
+                                  (draw(st.integers(1, 12)),
                                    draw(st.integers(0, idx - 1)),
                                    draw(st.integers(0, idx - 1)))))
         return FuzzProgram(prec, tuple(ops))

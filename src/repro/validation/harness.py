@@ -22,7 +22,7 @@ certificate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core import ENGINES, CompilerDriver, resolve_engine
 from ..observability import CAT_VALIDATE, current_metrics, current_tracer
@@ -70,18 +70,28 @@ def finish_certificate(certificate: Certificate,
 # Source-level validators (compile + run per configuration)
 # ----------------------------------------------------------------- #
 
+#: Reads what a run computed out of its result, for functions whose
+#: return value is an address: a heap array moves with the pool, so the
+#: certificate compares the array, not where it lives.
+OutputReader = Callable[[object], Sequence]
+
+
 def _observe(source: str, name: str, func: str, args,
              backend: str, engine: Optional[str], pool: Optional[bool],
              opt_level: int = 3, cache=None,
              max_steps: int = 500_000_000,
+             outputs: Optional[OutputReader] = None,
              **driver_kwargs) -> Tuple[Tuple, dict]:
-    """Compile and run one configuration; -> (value tokens, report)."""
+    """Compile and run one configuration; -> (value tokens, report).
+    The values are ``outputs(result)`` when given, else the return
+    value."""
     driver = CompilerDriver(backend=backend, opt_level=opt_level,
                             cache=cache, engine=engine, **driver_kwargs)
     program = driver.compile(source, name=name)
     result = program.run(func, list(args), engine=engine, pool=pool,
                          max_steps=max_steps)
-    return values_token([result.value]), report_snapshot(result.report)
+    values = outputs(result) if outputs is not None else [result.value]
+    return values_token(values), report_snapshot(result.report)
 
 
 def validate_engines(source: str, func: str, args: Sequence = (),
@@ -90,13 +100,16 @@ def validate_engines(source: str, func: str, args: Sequence = (),
                      engines: Optional[Sequence[str]] = None,
                      name: str = "program", cache=None,
                      max_steps: int = 500_000_000, strict: bool = True,
+                     outputs: Optional[OutputReader] = None,
                      **driver_kwargs) -> Certificate:
     """Certificate for the engine transitions of one program.
 
     The reference is ``engine`` (default: the backend's default
     engine); every other entry of ``engines`` (default: all of
     :data:`~repro.core.ENGINES`) is checked under the ``exact`` report
-    invariant, and the MPFR pool toggle under ``traffic``.
+    invariant, and the MPFR pool toggle under ``traffic``.  ``outputs``
+    (see :data:`OutputReader`) replaces the return value as the
+    compared values.
     """
     if backend == "unum":
         raise ValueError("engine validation applies to the interpreter "
@@ -112,7 +125,8 @@ def validate_engines(source: str, func: str, args: Sequence = (),
     try:
         ref_values, ref_report = _observe(
             source, name, func, args, backend, reference_engine, None,
-            cache=cache, max_steps=max_steps, **driver_kwargs)
+            cache=cache, max_steps=max_steps, outputs=outputs,
+            **driver_kwargs)
         certificate = Certificate(
             subject=name, kind="engine",
             reference=f"engine.{reference_engine}",
@@ -123,7 +137,8 @@ def validate_engines(source: str, func: str, args: Sequence = (),
         for candidate in candidates:
             values, report = _observe(
                 source, name, func, args, backend, candidate, None,
-                cache=cache, max_steps=max_steps, **driver_kwargs)
+                cache=cache, max_steps=max_steps, outputs=outputs,
+                **driver_kwargs)
             certificate.add(make_check(
                 f"engine.{candidate}", "exact", ref_values, values,
                 ref_report, report))
@@ -131,7 +146,7 @@ def validate_engines(source: str, func: str, args: Sequence = (),
             # The pool is on by default for mpfr/none; check it off.
             values, report = _observe(
                 source, name, func, args, backend, reference_engine,
-                False, cache=cache, max_steps=max_steps,
+                False, cache=cache, max_steps=max_steps, outputs=outputs,
                 **driver_kwargs)
             certificate.add(make_check(
                 "pool.off", "traffic", ref_values, values,

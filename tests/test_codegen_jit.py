@@ -9,12 +9,9 @@ round-trip checks that warm runs skip re-emission.
 """
 
 import dataclasses
-import importlib.util
 import json
 import marshal
-import sys
 from importlib.util import MAGIC_NUMBER
-from pathlib import Path
 
 import pytest
 
@@ -210,17 +207,6 @@ class TestDynamicPrecisionFallback:
         assert reason
 
 
-def _evalbench_points():
-    """The benchmark's workload module, for its CG program."""
-    path = Path(__file__).resolve().parents[1] / "evalbench" / "points.py"
-    spec = importlib.util.spec_from_file_location("evalbench_points", path)
-    module = importlib.util.module_from_spec(spec)
-    # Registered first: its dataclasses look their module up by name.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestRuntimePrecisionJit:
     """Paper Algorithm 1 over the Listing 4 BLAS (the cg-dynamic
     benchmark program): every function jits on the mpfr and boost
@@ -230,8 +216,8 @@ class TestRuntimePrecisionJit:
     PRECISIONS = (60, 113, 257, 600, 1100)
 
     @pytest.fixture(scope="class")
-    def cg(self):
-        points = _evalbench_points()
+    def cg(self, evalbench_points):
+        points = evalbench_points
         matrix = points.cg_matrix()
         return points, matrix, points.cg_source(matrix)
 

@@ -320,3 +320,30 @@ class TestInlining:
         """
         module, stats = compile_ir(source, InliningPass())
         assert run(module, "fact", [6]) == 720
+
+
+def test_compilation_is_deterministic_across_processes():
+    """Blocks hash by identity, so a pass that walks a set of blocks
+    orders its work by memory address.  mem2reg and LICM walk blocks in
+    reverse postorder / function order instead: adi's lowered module
+    text is the same in every process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from repro.core import CompilerDriver\n"
+        "from repro.workloads.polybench import source_for\n"
+        "program = CompilerDriver(backend='mpfr').compile(\n"
+        "    source_for('adi', 'vpfloat<mpfr, 16, 128>'))\n"
+        "print(program.module)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    texts = {subprocess.run([sys.executable, "-c", script], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout
+             for _ in range(3)}
+    assert len(texts) == 1

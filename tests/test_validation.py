@@ -92,6 +92,24 @@ class TestCompareReports:
         candidate = dict(self.REF, mpfr_calls=11)
         assert compare_reports(self.REF, candidate, "traffic") is not None
 
+    def test_traffic_lets_a_recycling_pool_save_allocations(self):
+        """The reference's pool recycled objects: the pool-off run
+        allocates more, and the cache metrics follow the heap layout.
+        Allocating fewer, or equally many with other cache traffic,
+        still fails."""
+        ref = dict(self.REF, mpfr_allocations=4, heap_allocations=5,
+                   llc_misses=7, dram_bytes=64)
+        more = dict(ref, mpfr_allocations=6, heap_allocations=7,
+                    llc_misses=9, dram_bytes=128)
+        assert compare_reports(ref, more, "traffic") is None
+        assert compare_reports(more, ref, "traffic") is not None
+        assert compare_reports(ref, dict(ref, dram_bytes=128),
+                               "traffic") is not None
+        assert compare_reports(ref, dict(more, heap_allocations=5),
+                               "traffic") is not None
+        assert compare_reports(ref, dict(more, mpfr_calls=11),
+                               "traffic") is not None
+
     def test_sane_only_wants_positive_work(self):
         assert compare_reports(self.REF, dict(self.REF, cycles=5,
                                               instructions=1),
@@ -155,6 +173,28 @@ class TestValidateHarness:
         with pytest.raises(ValueError):
             validate_engines(SOURCE, "f", (4,), backend="unum",
                              cache=None)
+
+    def test_engines_certificate_on_returned_heap_array(
+            self, evalbench_points):
+        """``cg`` returns the address of a heap array, which moves when
+        the pool is off; the certificate compares the array."""
+        from repro.evaluation.harness import read_lane_outputs
+
+        points = evalbench_points
+        matrix = points.cg_matrix()
+        point = points.CGPoint("mpfr", 200, 1)
+
+        def outputs(result):
+            return read_lane_outputs(result.interpreter, int(result.value),
+                                     points.CG_N + 1, point.ftype, "mpfr")
+
+        cert = validate_engines(points.cg_source(matrix), "cg",
+                                points.cg_args(matrix, point),
+                                backend="mpfr", cache=None, strict=True,
+                                outputs=outputs)
+        assert cert.passed
+        assert {"engine.legacy", "pool.off"} <= \
+            {check.label for check in cert.checks}
 
     def test_counters_emitted(self):
         with telemetry_session(metrics=True) as (_tracer, registry):
@@ -230,6 +270,22 @@ class TestFuzzer:
         from repro.validation import cross_check_rounding
 
         mismatch = cross_check_rounding(program)
+        assert mismatch is None, mismatch.describe()
+
+    def test_rotate_op_agrees_across_lowerings(self):
+        """Fibonacci through the rotate op: 12 trips survive -O3's
+        unroller, and the lowerings must not alias the rotated values
+        (mpfr/boost at -O3 used to return 2048, at -O0 fail to
+        verify)."""
+        program = FuzzProgram(prec=128, ops=(
+            FuzzOp("lit", ("0.0",)),
+            FuzzOp("lit", ("1.0",)),
+            FuzzOp("rotate", (12, 0, 1)),
+        ))
+        assert "{ vpfloat<mpfr, 16, 128> t = v2 + r2;" in \
+            program.render_source()
+        assert eval_reference(program).to_float() == 144.0
+        mismatch = cross_check(program)
         assert mismatch is None, mismatch.describe()
 
     def test_json_round_trip(self):
